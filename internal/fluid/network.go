@@ -29,12 +29,15 @@
 // # Bottleneck subgraphs
 //
 // The flow/resource bipartite graph is partitioned into connected components
-// (rebuilt on every structural Solve). Progressive filling is purely
-// component-local — a component's rates depend only on its own flows and
-// resources — so Resolve refills just the components containing a changed
-// flow or resource and proves the rest fixed-point stable by construction:
-// their inputs are unchanged and the deterministic per-component fill would
-// reproduce the stored rates bit for bit.
+// of the resources some flow uses. The partition is kept live across
+// structural edits (flow arrivals and departures, Use on a registered flow)
+// with work proportional to the component touched: an arrival unions the
+// components of the resources it uses, a departure re-checks only its own
+// component for a split. Progressive filling is purely component-local — a
+// component's rates depend only on its own flows and resources — so Resolve
+// refills just the components that changed and proves the rest fixed-point
+// stable by construction: their inputs are unchanged and the deterministic
+// per-component fill would reproduce the stored rates bit for bit.
 package fluid
 
 import (
@@ -54,6 +57,15 @@ type Resource struct {
 	load float64
 	// index is the resource's position in its network, for solver arrays.
 	index int
+
+	// users counts the Usages of registered flows that reference the
+	// resource; comp is its component (nil while users is 0). pos is fill
+	// and split scratch: the resource's position in comp.res.
+	users int32
+	pos   int32
+	comp  *component
+	// solvedCap is the capacity the last fill of comp read.
+	solvedCap float64
 }
 
 // Load returns the aggregate consumption on the resource from the most
@@ -97,10 +109,20 @@ type Flow struct {
 	attached int
 	// index is the flow's position in its network, for O(1) removal.
 	index int
+	// net is the network the flow is registered in (nil once removed) and
+	// comp its component (nil while it crosses no resource).
+	net  *Network
+	comp *component
 
 	rate       float64 // aggregate: members × memberRate
 	memberRate float64
 	frozen     bool
+
+	// The parameters the last fill of this flow read. A fresh flow starts
+	// with NaN, which never compares equal, so Resolve always fills it.
+	solvedDemand  float64
+	solvedWeight  float64
+	solvedMembers int
 }
 
 // Rate returns the solved aggregate rate in flow units (bytes) per second,
@@ -127,6 +149,9 @@ func (f *Flow) UseTagged(r *Resource, coeff float64, tag string) *Flow {
 	}
 	if coeff > 0 {
 		f.Uses = append(f.Uses, Usage{Resource: r, Coeff: coeff, Tag: tag})
+		if f.net != nil {
+			f.net.link(f, r)
+		}
 	}
 	return f
 }
@@ -162,47 +187,39 @@ type Network struct {
 	resources []*Resource
 	flows     []*Flow
 
-	// residual and sumW are solver scratch, reused across Solve calls so
-	// the hot path does not allocate.
+	// The live connected-component partition (see partition.go). live is
+	// false before the first Solve and after Invalidate; then only the
+	// per-resource user counts are maintained and the next Resolve runs a
+	// full Solve, which rebuilds the partition.
+	live  bool
+	comps []*component
+	dirty []*component // components queued for a refill
+	free  []*component // retired components, reused to avoid allocation
+	uf    []int32      // split scratch: union-find over positions
+	group []*component // split scratch: component per union-find root
+
+	// Fill scratch, reused across fills so the hot path does not allocate.
+	// residual, sumW, ratio and stale are indexed by position in the
+	// component being filled: ratio holds residual/sumW, or +Inf where
+	// sumW ≤ eps, and stale marks the ratios a freeze has invalidated.
+	// The positions fall into blocks of blockSize: bmin holds each block's
+	// minimum ratio, bstale marks the blocks holding a stale ratio, and
+	// btouched lists them. open lists the unfrozen flows in order, openDL
+	// their demand levels Demand/Weight.
 	residual []float64
 	sumW     []float64
+	ratio    []float64
+	stale    []bool
+	bmin     []float64
+	bstale   []bool
+	btouched []int32
+	open     []*Flow
+	openDL   []float64
 
-	// Connected-component partition of the flow/resource bipartite graph,
-	// rebuilt by every full Solve. compOf maps a resource index to a dense
-	// component id; flowComp maps a flow index (-1 for flows crossing no
-	// resource). flowOrder/resOrder group flow and resource indices by
-	// component (stable within a component), with flows that cross nothing
-	// in a trailing bucket at flowOff[ncomp]..flowOff[ncomp+1].
-	compOf    []int32
-	flowComp  []int32
-	ncomp     int
-	flowOrder []int32
-	flowOff   []int32
-	resOrder  []int32
-	resOff    []int32
-	ufParent  []int32 // union-find scratch
-	rootID    []int32 // dense component ids per union-find root
-	compCnt   []int32 // counting-sort scratch
-
-	// Dirty-scan and partial-solve scratch.
-	dirtyF    []int32
-	dirtyR    []int32
-	compDirty []bool
-	compList  []int32
-	bucketHit []int32
-
-	// Snapshot of every solver input at the last Solve. Resolve diffs the
-	// live state against it to decide whether a re-solve is needed, which
-	// also catches direct writes to Flow.Demand/Weight and
-	// Resource.Capacity that bypass the Sim setters.
-	solved      bool
-	snapFlows   []*Flow
-	snapDemand  []float64
-	snapWeight  []float64
-	snapMembers []int32
-	snapUses    []int // len(Flow.Uses); catches Use() after a solve
-	snapRes     []*Resource
-	snapCap     []float64
+	// Resolve scratch: flows whose parameters changed since their last
+	// fill, and those among them that cross no resource.
+	dirtyF []*Flow
+	lone   []*Flow
 
 	stats   SolverStats
 	legacy  bool
@@ -213,7 +230,8 @@ type Network struct {
 func NewNetwork() *Network { return &Network{legacy: LegacyFullSolve} }
 
 // AddResource creates and registers a resource. Capacity must be
-// non-negative; zero capacity models a disabled component.
+// non-negative; zero capacity models a disabled component. A resource no
+// flow uses belongs to no component and costs no solver work.
 func (n *Network) AddResource(name string, capacity float64) *Resource {
 	if capacity < 0 || math.IsNaN(capacity) {
 		panic(fmt.Sprintf("fluid: invalid capacity %v for %s", capacity, name))
@@ -238,7 +256,9 @@ func (n *Network) NewFlowClass(name string, demand float64, members int) *Flow {
 	if members < 1 {
 		panic(fmt.Sprintf("fluid: invalid member count %d for %s", members, name))
 	}
-	f := &Flow{Name: name, Demand: demand, Weight: 1, members: members, index: len(n.flows)}
+	f := &Flow{Name: name, Demand: demand, Weight: 1, members: members,
+		index: len(n.flows), net: n,
+		solvedDemand: math.NaN(), solvedWeight: math.NaN()}
 	n.flows = append(n.flows, f)
 	return f
 }
@@ -263,10 +283,11 @@ func (n *Network) Registered(f *Flow) bool {
 
 // RemoveFlow unregisters a flow. Its last solved rate becomes zero.
 func (n *Network) RemoveFlow(f *Flow) {
-	i := f.index
-	if i < 0 || i >= len(n.flows) || n.flows[i] != f {
+	if !n.Registered(f) {
 		return // already removed, or foreign flow
 	}
+	n.unlink(f) // before the shift: components are ordered by index
+	i := f.index
 	copy(n.flows[i:], n.flows[i+1:])
 	n.flows[len(n.flows)-1] = nil
 	n.flows = n.flows[:len(n.flows)-1]
@@ -274,28 +295,25 @@ func (n *Network) RemoveFlow(f *Flow) {
 		n.flows[j].index = j
 	}
 	f.index = -1
+	f.net = nil
 	f.rate = 0
 	f.memberRate = 0
 }
 
 // RemoveResource unregisters a resource that no registered flow crosses
 // any more — per-session state (thread limiters, for one) that would
-// otherwise accumulate forever and drag every structural solve, which
-// scans all resources, toward quadratic cost under small-job churn.
-// Accumulated usage accounting survives: the resource keeps a unique
-// (negative) index so usage reports stay deterministically ordered.
-// Removing a resource still in use is a caller bug and panics.
+// otherwise accumulate forever in the registration arrays. The in-use check
+// is O(1): it reads the user count the partition keeps. Accumulated usage
+// accounting survives: the resource keeps a unique (negative) index so
+// usage reports stay deterministically ordered. Removing a resource still
+// in use is a caller bug and panics.
 func (n *Network) RemoveResource(r *Resource) {
 	i := r.index
 	if i < 0 || i >= len(n.resources) || n.resources[i] != r {
 		return // already removed, or foreign resource
 	}
-	for _, f := range n.flows {
-		for _, u := range f.Uses {
-			if u.Resource == r {
-				panic(fmt.Sprintf("fluid: removing resource %s still used by flow %s", r.Name, f.Name))
-			}
-		}
+	if r.users > 0 {
+		panic(fmt.Sprintf("fluid: removing resource %s still used by %d flow usages", r.Name, r.users))
 	}
 	copy(n.resources[i:], n.resources[i+1:])
 	n.resources[len(n.resources)-1] = nil
@@ -316,127 +334,12 @@ func (n *Network) Resources() []*Resource { return n.resources }
 
 const eps = 1e-12
 
-// growI32 returns buf resized to n (fresh under legacy semantics).
-func growI32(buf []int32, n int, legacy bool) []int32 {
-	if legacy || cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
-// rebuildPartition recomputes the connected components of the flow/resource
-// bipartite graph. It is a pure function of the structure (populations and
-// Uses), so the optimized and legacy paths always agree on the partition.
-func (n *Network) rebuildPartition() {
-	nr := len(n.resources)
-	nf := len(n.flows)
-	uf := growI32(n.ufParent, nr, n.legacy)
-	for i := range uf {
-		uf[i] = int32(i)
-	}
-	find := func(i int32) int32 {
-		for uf[i] != i {
-			uf[i] = uf[uf[i]] // path halving
-			i = uf[i]
-		}
-		return i
-	}
-	for _, f := range n.flows {
-		if len(f.Uses) == 0 {
-			continue
-		}
-		a := find(int32(f.Uses[0].Resource.index))
-		for _, u := range f.Uses[1:] {
-			if b := find(int32(u.Resource.index)); b != a {
-				uf[b] = a
-			}
-		}
-	}
-	n.ufParent = uf
-
-	// Dense component ids, assigned in ascending resource-index order so
-	// the numbering is deterministic.
-	compOf := growI32(n.compOf, nr, n.legacy)
-	rootID := growI32(n.rootID, nr, n.legacy)
-	for i := range rootID {
-		rootID[i] = -1
-	}
-	next := int32(0)
-	for i := 0; i < nr; i++ {
-		r := find(int32(i))
-		if rootID[r] < 0 {
-			rootID[r] = next
-			next++
-		}
-		compOf[i] = rootID[r]
-	}
-	n.compOf, n.rootID = compOf, rootID
-	n.ncomp = int(next)
-
-	flowComp := growI32(n.flowComp, nf, n.legacy)
-	for i, f := range n.flows {
-		if len(f.Uses) == 0 {
-			flowComp[i] = -1
-		} else {
-			flowComp[i] = compOf[f.Uses[0].Resource.index]
-		}
-	}
-	n.flowComp = flowComp
-
-	// Counting sort (stable) groups flow and resource indices by component.
-	cnt := growI32(n.compCnt, n.ncomp+1, n.legacy) // +1: no-uses bucket
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for _, c := range flowComp {
-		if c < 0 {
-			cnt[n.ncomp]++
-		} else {
-			cnt[c]++
-		}
-	}
-	flowOff := growI32(n.flowOff, n.ncomp+2, n.legacy)
-	flowOff[0] = 0
-	for i := 0; i <= n.ncomp; i++ {
-		flowOff[i+1] = flowOff[i] + cnt[i]
-		cnt[i] = flowOff[i]
-	}
-	flowOrder := growI32(n.flowOrder, nf, n.legacy)
-	for i, c := range flowComp {
-		b := c
-		if b < 0 {
-			b = int32(n.ncomp)
-		}
-		flowOrder[cnt[b]] = int32(i)
-		cnt[b]++
-	}
-	n.flowOff, n.flowOrder = flowOff, flowOrder
-
-	for i := range cnt[:n.ncomp] {
-		cnt[i] = 0
-	}
-	for _, c := range compOf {
-		cnt[c]++
-	}
-	resOff := growI32(n.resOff, n.ncomp+1, n.legacy)
-	resOff[0] = 0
-	for i := 0; i < n.ncomp; i++ {
-		resOff[i+1] = resOff[i] + cnt[i]
-		cnt[i] = resOff[i]
-	}
-	resOrder := growI32(n.resOrder, nr, n.legacy)
-	for i, c := range compOf {
-		resOrder[cnt[c]] = int32(i)
-		cnt[c]++
-	}
-	n.resOff, n.resOrder, n.compCnt = resOff, resOrder, cnt
-}
-
 // Solve computes the weighted max-min fair rate for every registered flow
-// and the resulting load on every resource.
+// and the resulting load on every resource from scratch: it rebuilds the
+// component partition and fills every component. Resolve runs it only on
+// the first solve, after Invalidate, or under LegacyFullSolve.
 //
-// Implementation: the flow/resource graph is partitioned into connected
-// components and each component is filled independently by weighted
+// Implementation: each component is filled independently by weighted
 // progressive filling with incremental bookkeeping. residual[i] tracks each
 // resource's remaining capacity after frozen flows; sumW[i] tracks
 // Σ coeff×weight×members over unfrozen flows crossing it. Freezing a flow
@@ -444,48 +347,94 @@ func (n *Network) rebuildPartition() {
 // rather than O(resources × flows × uses).
 func (n *Network) Solve() {
 	n.stats.FullSolves++
-	n.rebuildPartition()
-	nr := len(n.resources)
-	var residual, sumW []float64
-	if n.legacy {
-		residual = make([]float64, nr)
-		sumW = make([]float64, nr)
-	} else {
-		if cap(n.residual) < nr {
-			n.residual = make([]float64, nr)
-			n.sumW = make([]float64, nr)
+	n.rebuild()
+	n.lone = n.lone[:0]
+	for _, f := range n.flows {
+		if f.comp == nil {
+			n.lone = append(n.lone, f)
 		}
-		residual = n.residual[:nr]
-		sumW = n.sumW[:nr]
 	}
-	for ci := 0; ci < n.ncomp; ci++ {
-		n.fill(n.flowOrder[n.flowOff[ci]:n.flowOff[ci+1]],
-			n.resOrder[n.resOff[ci]:n.resOff[ci+1]], residual, sumW)
-	}
-	if b := n.flowOrder[n.flowOff[n.ncomp]:n.flowOff[n.ncomp+1]]; len(b) > 0 {
-		n.fill(b, nil, residual, sumW)
-	}
-	n.snapshot()
+	n.refill()
 }
 
-// fill runs progressive filling over one component: the flows (indices into
-// n.flows) and resources (indices into n.resources) listed. Rates outside
-// the component are untouched; the arithmetic depends only on component
-// inputs, which is what makes partial solves bit-identical to full ones.
-func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
-	n.stats.ComponentSolves++
-	for _, ri := range ridx {
-		r := n.resources[ri]
-		r.load = 0
-		residual[ri] = r.Capacity
-		sumW[ri] = 0
+// refill fills every queued component, first splitting those that lost a
+// flow, then the lone flows collected in n.lone. Component order does not
+// matter: each fill reads and writes only its own component.
+func (n *Network) refill() {
+	for i := 0; i < len(n.dirty); i++ { // split appends to n.dirty
+		c := n.dirty[i]
+		if !c.dirty {
+			continue // merged away or retired since it was queued
+		}
+		if c.split {
+			n.split(c)
+		}
+		c.dirty = false
+		n.fill(c.flows, c.res)
 	}
-	unfrozen := 0
-	for _, fi := range fidx {
-		f := n.flows[fi]
+	n.dirty = n.dirty[:0]
+	if len(n.lone) > 0 {
+		n.fill(n.lone, nil)
+	}
+}
+
+// quotient is a resource's water-level headroom residual/sumW, or +Inf when
+// no unfrozen flow loads it (sumW ≤ eps).
+func quotient(residual, sumW float64) float64 {
+	if sumW > eps {
+		return residual / sumW
+	}
+	return math.Inf(1)
+}
+
+// blockSize is the number of ratio positions per block. A round reads one
+// minimum per block and rescans only the blocks a freeze touched.
+const blockSize = 16
+
+// fill runs progressive filling over one component: its flows and
+// resources, each in ascending index order. Rates outside the component are
+// untouched; the arithmetic depends only on component inputs, which is what
+// makes partial solves bit-identical to full ones. Flows crossing no
+// resource are independent of each other and may share one call with a nil
+// resource list.
+//
+// Each round reads every resource's headroom residual/sumW from the ratio
+// array; a freeze marks the ratios it changes stale, and the next read
+// recomputes them from the same residual and sumW a division at that point
+// would see. λ is the minimum of the block minima, and the saturation scan
+// skips a block whose up-to-date minimum exceeds the tolerance: every
+// position in it would fail the test. Only unfrozen flows are scanned, in
+// order; a frozen flow stays frozen, so dropping it changes neither a
+// minimum nor the freeze order.
+func (n *Network) fill(flows []*Flow, res []*Resource) {
+	n.stats.ComponentSolves++
+	k := len(res)
+	nb := (k + blockSize - 1) / blockSize
+	if cap(n.residual) < k {
+		c := max(k, 2*cap(n.residual)) // components grow a few resources at a time
+		n.residual = make([]float64, c)
+		n.sumW = make([]float64, c)
+		n.ratio = make([]float64, c)
+		n.stale = make([]bool, c)
+		n.bmin = make([]float64, c/blockSize+1)
+		n.bstale = make([]bool, c/blockSize+1)
+	}
+	residual, sumW, ratio, stale := n.residual[:k], n.sumW[:k], n.ratio[:k], n.stale[:k]
+	bmin, bstale := n.bmin[:nb], n.bstale[:nb]
+	for i, r := range res {
+		r.pos = int32(i)
+		r.load = 0
+		r.solvedCap = r.Capacity
+		residual[i] = r.Capacity
+		sumW[i] = 0
+		stale[i] = false
+	}
+	open, openDL := n.open[:0], n.openDL[:0]
+	for _, f := range flows {
 		f.rate = 0
 		f.memberRate = 0
 		f.frozen = false
+		f.solvedDemand, f.solvedWeight, f.solvedMembers = f.Demand, f.Weight, f.members
 		if f.Weight <= 0 {
 			panic(fmt.Sprintf("fluid: flow %s has non-positive weight %v", f.Name, f.Weight))
 		}
@@ -493,14 +442,39 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 			f.frozen = true
 			continue
 		}
-		unfrozen++
+		open = append(open, f)
+		openDL = append(openDL, f.Demand/f.Weight)
 		ew := f.Weight * float64(f.members)
 		for _, u := range f.Uses {
-			sumW[u.Resource.index] += u.Coeff * ew
+			sumW[u.Resource.pos] += u.Coeff * ew
 		}
+	}
+	unfrozen := len(open)
+	for i := range ratio {
+		ratio[i] = quotient(residual[i], sumW[i])
+	}
+
+	// refresh recomputes block b's stale ratios and its minimum.
+	refresh := func(b int) {
+		m := math.Inf(1)
+		for i, end := b*blockSize, min(k, (b+1)*blockSize); i < end; i++ {
+			if stale[i] {
+				ratio[i] = quotient(residual[i], sumW[i])
+				stale[i] = false
+			}
+			if ratio[i] < m {
+				m = ratio[i]
+			}
+		}
+		bmin[b] = m
+		bstale[b] = false
+	}
+	for b := range bmin {
+		refresh(b)
 	}
 
 	// freeze fixes a flow's per-member rate and retires its contributions.
+	btouched := n.btouched[:0]
 	freeze := func(f *Flow, memberRate float64) {
 		f.memberRate = memberRate
 		f.rate = memberRate * float64(f.members)
@@ -508,7 +482,7 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 		unfrozen--
 		ew := f.Weight * float64(f.members)
 		for _, u := range f.Uses {
-			i := u.Resource.index
+			i := u.Resource.pos
 			sumW[i] -= u.Coeff * ew
 			residual[i] -= u.Coeff * f.rate
 			if residual[i] < 0 {
@@ -517,42 +491,53 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 			if sumW[i] < 0 {
 				sumW[i] = 0
 			}
+			stale[i] = true
+			if b := int(i) / blockSize; !bstale[b] {
+				bstale[b] = true
+				btouched = append(btouched, int32(b))
+			}
 		}
 	}
 
 	// level is the water level λ: every unfrozen member runs at Weight×λ.
 	level := 0.0
 	for unfrozen > 0 {
+		for _, b := range btouched {
+			if bstale[b] {
+				refresh(int(b))
+			}
+		}
+		btouched = btouched[:0]
 		lambda := math.Inf(1)
-		for _, ri := range ridx {
-			if sumW[ri] > eps {
-				if lr := residual[ri] / sumW[ri]; lr < lambda {
-					lambda = lr
-				}
+		for _, q := range bmin {
+			if q < lambda {
+				lambda = q
 			}
 		}
 		demandLambda := math.Inf(1)
-		for _, fi := range fidx {
-			f := n.flows[fi]
+		w := 0
+		for j, f := range open {
 			if f.frozen {
 				continue
 			}
-			if dl := f.Demand / f.Weight; dl < demandLambda {
+			dl := openDL[j]
+			if dl < demandLambda {
 				demandLambda = dl
 			}
+			open[w], openDL[w] = f, dl
+			w++
 		}
+		open, openDL = open[:w], openDL[:w]
 
 		target := math.Min(lambda, demandLambda)
 		if math.IsInf(target, 1) {
 			// Unbounded flows with no constraining resource: deliberate
 			// infinite rate.
-			for _, fi := range fidx {
-				if f := n.flows[fi]; !f.frozen {
-					f.memberRate = f.Demand
-					f.rate = f.Demand * float64(f.members)
-					f.frozen = true
-					unfrozen--
-				}
+			for _, f := range open {
+				f.memberRate = f.Demand
+				f.rate = f.Demand * float64(f.members)
+				f.frozen = true
+				unfrozen--
 			}
 			break
 		}
@@ -564,8 +549,8 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 
 		frozeAny := false
 		// Demand-capped flows freeze at their per-member demand.
-		for _, fi := range fidx {
-			if f := n.flows[fi]; !f.frozen && f.Demand/f.Weight <= tol {
+		for j, f := range open {
+			if !f.frozen && openDL[j] <= tol {
 				freeze(f, f.Demand)
 				frozeAny = true
 			}
@@ -573,14 +558,23 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 		if lambda <= demandLambda+eps {
 			// Saturated resources freeze every unfrozen flow crossing
 			// them at Weight×λ per member.
-			for _, ri := range ridx {
-				if sumW[ri] <= eps {
+			for b := range bmin {
+				if bstale[b] {
+					refresh(b)
+				}
+				if bmin[b] > tol {
 					continue
 				}
-				if residual[ri]/sumW[ri] <= tol {
-					r := n.resources[ri]
-					for _, fi := range fidx {
-						f := n.flows[fi]
+				for i, end := b*blockSize, min(k, (b+1)*blockSize); i < end; i++ {
+					if stale[i] {
+						ratio[i] = quotient(residual[i], sumW[i])
+						stale[i] = false
+					}
+					if ratio[i] > tol {
+						continue
+					}
+					r := res[i]
+					for _, f := range open {
 						if f.frozen {
 							continue
 						}
@@ -601,57 +595,29 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 		}
 		if !frozeAny {
 			// Defensive: should be unreachable, but avoid an infinite loop.
-			for _, fi := range fidx {
-				if f := n.flows[fi]; !f.frozen {
+			for _, f := range open {
+				if !f.frozen {
 					freeze(f, f.Weight*level)
 				}
 			}
 		}
 	}
+	n.btouched, n.open, n.openDL = btouched[:0], open[:0], openDL[:0]
 
 	// Compute resource loads from final rates.
-	for _, fi := range fidx {
-		f := n.flows[fi]
+	for _, f := range flows {
 		for _, u := range f.Uses {
 			u.Resource.load += u.Coeff * f.rate
 		}
 	}
 }
 
-// snapshot records the solver inputs the allocation was computed from.
-func (n *Network) snapshot() {
-	n.snapFlows = append(n.snapFlows[:0], n.flows...)
-	n.snapRes = append(n.snapRes[:0], n.resources...)
-	if cap(n.snapDemand) < len(n.flows) {
-		n.snapDemand = make([]float64, len(n.flows))
-		n.snapWeight = make([]float64, len(n.flows))
-		n.snapMembers = make([]int32, len(n.flows))
-		n.snapUses = make([]int, len(n.flows))
-	}
-	n.snapDemand = n.snapDemand[:len(n.flows)]
-	n.snapWeight = n.snapWeight[:len(n.flows)]
-	n.snapMembers = n.snapMembers[:len(n.flows)]
-	n.snapUses = n.snapUses[:len(n.flows)]
-	for i, f := range n.flows {
-		n.snapDemand[i] = f.Demand
-		n.snapWeight[i] = f.Weight
-		n.snapMembers[i] = int32(f.members)
-		n.snapUses[i] = len(f.Uses)
-	}
-	if cap(n.snapCap) < len(n.resources) {
-		n.snapCap = make([]float64, len(n.resources))
-	}
-	n.snapCap = n.snapCap[:len(n.resources)]
-	for i, r := range n.resources {
-		n.snapCap[i] = r.Capacity
-	}
-	n.solved = true
-}
-
-// Invalidate forces the next Resolve to run a full Solve. Needed only
-// after mutations the dirty scan cannot see: editing a Usage coefficient
-// in place, or swapping a Usage's Resource.
-func (n *Network) Invalidate() { n.solved = false }
+// Invalidate forces the next Resolve to run a full Solve, which rebuilds
+// the partition and the user counts from every flow's Uses. Needed only
+// after mutations that bypass Use: editing a Usage coefficient in place,
+// swapping a Usage's Resource, or truncating Uses. Call it right after such
+// an edit, before any other call on the network.
+func (n *Network) Invalidate() { n.live = false }
 
 // ResourceUtil is one resource's slice of a Utilization snapshot.
 type ResourceUtil struct {
@@ -696,136 +662,72 @@ func (n *Network) Utilization() []ResourceUtil {
 // Stats returns counters describing how Resolve calls were satisfied.
 func (n *Network) Stats() SolverStats { return n.stats }
 
-// diff classifies every change since the last snapshot. structural means
-// the partition may have moved (populations or Uses changed) and a full
-// Solve is required; otherwise n.dirtyF/n.dirtyR list the flow/resource
-// indices whose parameters changed. demandOnly reports that every dirty
-// flow changed nothing but its demand.
-func (n *Network) diff() (structural, demandOnly bool) {
+// Resolve re-solves only what changed since the last solve. Structural
+// edits (arrivals, departures, Use on a registered flow) have already
+// queued their components; a scan then finds parameter writes, including
+// direct writes to Flow.Demand/Weight and Resource.Capacity that bypass the
+// Sim setters, by comparing every flow and every resource some flow uses
+// against the values its last fill read. Nothing changed: no solve. A
+// single non-binding demand change: no solve either (the solved rate sits
+// strictly below both old and new caps, so the max-min allocation is
+// unchanged). Otherwise only the queued and parameter-dirty components are
+// refilled. A full Solve runs only on the first call, after Invalidate, or
+// under LegacyFullSolve. It reports whether any solving ran.
+func (n *Network) Resolve() bool {
+	if n.legacy || !n.live {
+		n.Solve()
+		return true
+	}
+	structural := len(n.dirty) > 0
 	n.dirtyF = n.dirtyF[:0]
-	n.dirtyR = n.dirtyR[:0]
-	demandOnly = true
-	if len(n.resources) != len(n.snapRes) || len(n.flows) != len(n.snapFlows) {
-		return true, false
-	}
-	for i, r := range n.resources {
-		if r != n.snapRes[i] {
-			return true, false
-		}
-		if r.Capacity != n.snapCap[i] {
-			n.dirtyR = append(n.dirtyR, int32(i))
-		}
-	}
-	for i, f := range n.flows {
-		if f != n.snapFlows[i] || len(f.Uses) != n.snapUses[i] {
-			return true, false
-		}
-		if f.Demand != n.snapDemand[i] || f.Weight != n.snapWeight[i] || int32(f.members) != n.snapMembers[i] {
-			n.dirtyF = append(n.dirtyF, int32(i))
-			if f.Weight != n.snapWeight[i] || int32(f.members) != n.snapMembers[i] {
+	demandOnly := true
+	for _, f := range n.flows {
+		if f.Demand != f.solvedDemand || f.Weight != f.solvedWeight || f.members != f.solvedMembers {
+			n.dirtyF = append(n.dirtyF, f)
+			if f.Weight != f.solvedWeight || f.members != f.solvedMembers {
 				demandOnly = false
 			}
 		}
 	}
-	return false, demandOnly
-}
-
-// partialSolve refills exactly the components containing a dirty flow or
-// resource (per n.dirtyF/n.dirtyR). The frontier argument for leaving every
-// other component untouched: fill is deterministic and reads only
-// component-local inputs, those inputs are unchanged (the dirty scan proved
-// it), so re-running fill there would reproduce the stored rates bit for
-// bit. Flows crossing no resource are independent and refill individually.
-func (n *Network) partialSolve() {
-	n.stats.PartialSolves++
-	if cap(n.compDirty) < n.ncomp {
-		n.compDirty = make([]bool, n.ncomp)
-	}
-	dirty := n.compDirty[:n.ncomp]
-	n.compList = n.compList[:0]
-	n.bucketHit = n.bucketHit[:0]
-	for _, fi := range n.dirtyF {
-		c := n.flowComp[fi]
-		if c < 0 {
-			n.bucketHit = append(n.bucketHit, fi)
-			continue
+	capDirty := false
+	for _, c := range n.comps {
+		if c.dirty {
+			continue // refilled anyway; the fill re-reads every capacity
 		}
-		if !dirty[c] {
-			dirty[c] = true
-			n.compList = append(n.compList, c)
+		for _, r := range c.res {
+			if r.Capacity != r.solvedCap {
+				n.markDirty(c)
+				capDirty = true
+				break
+			}
 		}
 	}
-	for _, ri := range n.dirtyR {
-		c := n.compOf[ri]
-		if !dirty[c] {
-			dirty[c] = true
-			n.compList = append(n.compList, c)
-		}
-	}
-	// Ascending component order, for reproducible stats and cache locality
-	// (insertion sort: the list is tiny and must not allocate).
-	for i := 1; i < len(n.compList); i++ {
-		for j := i; j > 0 && n.compList[j] < n.compList[j-1]; j-- {
-			n.compList[j], n.compList[j-1] = n.compList[j-1], n.compList[j]
-		}
-	}
-	residual := n.residual[:len(n.resources)]
-	sumW := n.sumW[:len(n.resources)]
-	for _, c := range n.compList {
-		n.fill(n.flowOrder[n.flowOff[c]:n.flowOff[c+1]],
-			n.resOrder[n.resOff[c]:n.resOff[c+1]], residual, sumW)
-		dirty[c] = false
-	}
-	if len(n.bucketHit) > 0 {
-		n.fill(n.bucketHit, nil, residual, sumW)
-	}
-	// Refresh only the snapshot entries that moved; everything else is
-	// still current.
-	for _, fi := range n.dirtyF {
-		f := n.flows[fi]
-		n.snapDemand[fi] = f.Demand
-		n.snapWeight[fi] = f.Weight
-		n.snapMembers[fi] = int32(f.members)
-	}
-	for _, ri := range n.dirtyR {
-		n.snapCap[ri] = n.resources[ri].Capacity
-	}
-}
-
-// Resolve re-solves only what changed since the last Solve: nothing on a
-// clean network, a single non-binding demand change without any solve (the
-// solved rate sits strictly below both old and new caps, so the max-min
-// allocation is unchanged), only the dirty bottleneck subgraphs for
-// parameter changes, and a full Solve for structural changes (population or
-// Uses). It reports whether any solving ran.
-func (n *Network) Resolve() bool {
-	if n.legacy || !n.solved {
-		n.Solve()
-		return true
-	}
-	structural, demandOnly := n.diff()
-	if structural {
-		n.Solve()
-		return true
-	}
-	if len(n.dirtyF) == 0 && len(n.dirtyR) == 0 {
-		n.stats.Skips++
-		return false
-	}
-	if demandOnly && len(n.dirtyF) == 1 && len(n.dirtyR) == 0 {
-		fi := n.dirtyF[0]
-		f := n.flows[fi]
-		old := n.snapDemand[fi]
-		// Margin keeps the fast path well clear of the solver's freeze
-		// tolerance, so a from-scratch Solve would take the exact same
-		// branches and reproduce the current rates bit for bit.
-		margin := 1e-6 * math.Max(1, f.memberRate)
-		if math.Min(old, f.Demand) > f.memberRate+margin {
-			n.snapDemand[fi] = f.Demand
-			n.stats.FastResolves++
+	if !structural && !capDirty {
+		if len(n.dirtyF) == 0 {
+			n.stats.Skips++
 			return false
 		}
+		if f := n.dirtyF[0]; demandOnly && len(n.dirtyF) == 1 {
+			// Margin keeps the fast path well clear of the solver's freeze
+			// tolerance, so a from-scratch Solve would take the exact same
+			// branches and reproduce the current rates bit for bit.
+			margin := 1e-6 * math.Max(1, f.memberRate)
+			if math.Min(f.solvedDemand, f.Demand) > f.memberRate+margin {
+				f.solvedDemand = f.Demand
+				n.stats.FastResolves++
+				return false
+			}
+		}
 	}
-	n.partialSolve()
+	n.stats.PartialSolves++
+	n.lone = n.lone[:0]
+	for _, f := range n.dirtyF {
+		if f.comp != nil {
+			n.markDirty(f.comp)
+		} else {
+			n.lone = append(n.lone, f)
+		}
+	}
+	n.refill()
 	return true
 }

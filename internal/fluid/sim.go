@@ -344,9 +344,11 @@ func (s *Sim) ActiveTransfers() int { return len(s.active) }
 
 // Refresh accrues progress, forces a from-scratch re-solve and reschedules
 // the next completion event. It is the entry point for callers that edited
-// flow Uses in place (re-homed buffers, re-pinned threads): those edits are
-// invisible to the incremental dirty scan, so the network must be
-// invalidated before rates are recomputed.
+// flow Uses in place (re-homed buffers, re-pinned threads): those edits
+// bypass Use, so the live component partition and the per-resource user
+// counts cannot see them, and the network must be invalidated so the
+// re-solve rebuilds both. Flows added, extended with Use or removed need no
+// Refresh: they keep the partition current and resolve incrementally.
 func (s *Sim) Refresh() {
 	s.Sync()
 	s.Network.Invalidate()
