@@ -2,7 +2,8 @@
 // BENCH_PR6.json: aggregate goodput and scheduler decision latency versus
 // host count (100/300/1000 hosts), each point run twice to certify
 // bit-identical replay, plus a shard sweep showing decision latency staying
-// bounded as the control plane scales out.
+// bounded as the control plane scales out. The report is always written;
+// the exit status is non-zero if any point's replay was not bit-identical.
 //
 // Usage:
 //
@@ -79,6 +80,7 @@ func main() {
 		Seed: *seed,
 	}
 
+	var diverged []int // host counts whose two runs hashed differently
 	hostCounts := []int{100, 300, 1000}
 	if *quick {
 		hostCounts = hostCounts[:2]
@@ -113,6 +115,7 @@ func main() {
 			BitIdentical:         res.TraceSHA == again.TraceSHA,
 		})
 		if res.TraceSHA != again.TraceSHA {
+			diverged = append(diverged, hosts)
 			fmt.Fprintf(os.Stderr, "clusterbench: WARNING: %d-host replay NOT bit-identical\n", hosts)
 		}
 	}
@@ -148,6 +151,9 @@ func main() {
 	}
 	fmt.Printf("clusterbench: wrote %s (%d scale points, %d shard points)\n",
 		*out, len(rep.ScaleCurve), len(rep.ShardSweep))
+	if len(diverged) > 0 {
+		fatal(fmt.Errorf("replay not bit-identical at %v hosts", diverged))
+	}
 }
 
 func fatal(err error) {

@@ -464,8 +464,7 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	// control-RPC delivery events per virtual second, all within a couple
 	// of control-plane periods of "now". Park them in a timer wheel sized
 	// to cover those periods; the heap keeps only sparse far-future events
-	// (lease grace, GiveUpAfter). No-op under sim.LegacyAlloc, so the
-	// legacy-knob replay exercises the plain heap.
+	// (lease grace, GiveUpAfter).
 	if slot := cfg.HeartbeatEvery / 256; slot > 0 {
 		if slot < cfg.CtrlDelay {
 			slot = cfg.CtrlDelay

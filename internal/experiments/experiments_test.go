@@ -326,6 +326,7 @@ func TestWANCPUSmoke(t *testing.T) {
 
 func TestSchedulerSaturationShape(t *testing.T) {
 	res := SchedulerSaturation()
+	checkGolden(t, "S1", res)
 	good, wait := res.Series[0], res.Series[1]
 	// Goodput rises from underload toward a plateau: the peak must come
 	// after the first point, and the last point must hold near the peak
@@ -356,6 +357,7 @@ func TestSchedulerSaturationShape(t *testing.T) {
 
 func TestChaosRecoveryShape(t *testing.T) {
 	res := ChaosRecovery()
+	checkGolden(t, "S2", res)
 	// Goodput series is ordered baseline-first, then decreasing MTBF: it
 	// must never rise as faults get more frequent, and the harshest point
 	// must pay a real penalty against the baseline.
@@ -391,6 +393,7 @@ func TestChaosRecoveryShape(t *testing.T) {
 
 func TestGrayFailureShape(t *testing.T) {
 	res := GrayFailure()
+	checkGolden(t, "S7", res)
 	// The mitigation ladder at the 70%-sag point: each rung must recover
 	// goodput, ending ≥90% of healthy while no-mitigation sits ≤60%.
 	s := res.Series[0]

@@ -10,6 +10,7 @@ func TestObjectGatewayShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "S8", r)
 	if len(r.Tables) != 2 {
 		t.Fatalf("tables = %d, want 2", len(r.Tables))
 	}

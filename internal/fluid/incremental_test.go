@@ -450,26 +450,6 @@ func TestResolveSeesDirectMutation(t *testing.T) {
 	}
 }
 
-// TestLegacyFullSolveKnob: the benchmark baseline knob forces a full solve
-// on every Resolve but computes identical allocations.
-func TestLegacyFullSolveKnob(t *testing.T) {
-	LegacyFullSolve = true
-	defer func() { LegacyFullSolve = false }()
-	n := NewNetwork()
-	r := n.AddResource("link", 100)
-	f := n.NewFlow("f", math.Inf(1))
-	f.Use(r, 1)
-	n.Resolve()
-	n.Resolve()
-	n.Resolve()
-	if got := n.Stats().FullSolves; got != 3 {
-		t.Fatalf("legacy mode ran %d solves for 3 Resolves, want 3", got)
-	}
-	if f.rate != 100 {
-		t.Fatalf("rate = %v, want 100", f.rate)
-	}
-}
-
 // directRates solves n the way the solver did before the ratio array: a
 // naive union-find partition, then per component a progressive fill that
 // divides residual by sumW afresh at every read. It returns every flow's

@@ -156,14 +156,6 @@ func (f *Flow) UseTagged(r *Resource, coeff float64, tag string) *Flow {
 	return f
 }
 
-// LegacyFullSolve, when set before NewNetwork, makes Resolve behave like
-// the pre-incremental solver: every call runs a from-scratch Solve with
-// freshly allocated scratch state. It exists so the benchmark harness
-// (cmd/benchreport) and the solver-equivalence tests can compare the
-// optimized and unoptimized paths within one binary. Production code never
-// sets it.
-var LegacyFullSolve bool
-
 // SolverStats counts how Resolve calls were satisfied.
 type SolverStats struct {
 	// FullSolves is the number of complete progressive-filling runs.
@@ -222,12 +214,11 @@ type Network struct {
 	lone   []*Flow
 
 	stats   SolverStats
-	legacy  bool
 	removed int // retired-resource count; keys unique negative indices
 }
 
 // NewNetwork returns an empty network.
-func NewNetwork() *Network { return &Network{legacy: LegacyFullSolve} }
+func NewNetwork() *Network { return &Network{} }
 
 // AddResource creates and registers a resource. Capacity must be
 // non-negative; zero capacity models a disabled component. A resource no
@@ -337,7 +328,7 @@ const eps = 1e-12
 // Solve computes the weighted max-min fair rate for every registered flow
 // and the resulting load on every resource from scratch: it rebuilds the
 // component partition and fills every component. Resolve runs it only on
-// the first solve, after Invalidate, or under LegacyFullSolve.
+// the first solve or after Invalidate.
 //
 // Implementation: each component is filled independently by weighted
 // progressive filling with incremental bookkeeping. residual[i] tracks each
@@ -671,10 +662,10 @@ func (n *Network) Stats() SolverStats { return n.stats }
 // single non-binding demand change: no solve either (the solved rate sits
 // strictly below both old and new caps, so the max-min allocation is
 // unchanged). Otherwise only the queued and parameter-dirty components are
-// refilled. A full Solve runs only on the first call, after Invalidate, or
-// under LegacyFullSolve. It reports whether any solving ran.
+// refilled. A full Solve runs only on the first call or after Invalidate.
+// It reports whether any solving ran.
 func (n *Network) Resolve() bool {
-	if n.legacy || !n.live {
+	if !n.live {
 		n.Solve()
 		return true
 	}

@@ -254,10 +254,6 @@ func (n *Network) rebuild() {
 		n.dropComp(n.comps[len(n.comps)-1])
 	}
 	n.dirty = n.dirty[:0]
-	if n.legacy {
-		// The pre-incremental baseline solved with fresh scratch each time.
-		n.free, n.residual = nil, nil
-	}
 	for _, r := range n.resources {
 		r.users, r.comp, r.load = 0, nil, 0
 	}

@@ -96,6 +96,20 @@ func (s *Series) TailMean(fraction float64) float64 {
 	return tail.Mean()
 }
 
+// Median returns the median of xs, averaging the middle pair for even
+// lengths, and 0 for an empty slice. xs is scratch and may be reordered.
+func Median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
 // Sampler periodically samples a cumulative counter and records its rate of
 // change (units/second).
 type Sampler struct {

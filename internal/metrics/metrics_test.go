@@ -46,6 +46,23 @@ func TestEmptySeries(t *testing.T) {
 	}
 }
 
+func TestMedian(t *testing.T) {
+	for _, tc := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{nil, 0},
+		{[]float64{7}, 7},
+		{[]float64{3, 1, 2}, 2},
+		{[]float64{4, 1, 3, 2}, 2.5},
+		{[]float64{5, 5, 1, 9}, 5},
+	} {
+		if got := Median(tc.xs); got != tc.want {
+			t.Errorf("Median(%v) = %v, want %v", tc.xs, got, tc.want)
+		}
+	}
+}
+
 // TestEmptySeriesTableHasNoInf: an empty series summarized into a report
 // table (the experiments Series index format) must not leak Inf cells.
 func TestEmptySeriesTableHasNoInf(t *testing.T) {

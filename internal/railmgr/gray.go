@@ -1,8 +1,7 @@
 package railmgr
 
 import (
-	"sort"
-
+	"e2edt/internal/metrics"
 	"e2edt/internal/sim"
 )
 
@@ -138,8 +137,8 @@ func (m *Manager) score(now sim.Time) {
 		rates[k] = m.grayRate[i].Value()
 		lats[k] = m.grayLat[i].Value()
 	}
-	medRate := median(rates)
-	medLat := median(lats)
+	medRate := metrics.Median(rates)
+	medLat := metrics.Median(lats)
 
 	for _, i := range cohort {
 		ratio := 1.0
@@ -258,17 +257,3 @@ func (m *Manager) FirstSuspectAt() (sim.Time, bool) {
 // RateRatio returns rail i's last cohort-relative per-stream rate ratio
 // (1 before any scoring round has judged it).
 func (m *Manager) RateRatio(i int) float64 { return m.ratio[i] }
-
-// median returns the median of xs, averaging the middle pair for even
-// lengths. xs is scratch and may be reordered.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
-}

@@ -32,14 +32,6 @@ const (
 	Minute      Duration = 60
 )
 
-// LegacyAlloc, when set before NewEngine, disables event recycling and
-// lazy cancellation: every Schedule allocates a fresh Event and Cancel
-// removes it from the heap eagerly, as the pre-optimization engine did. It
-// exists so the benchmark harness (cmd/benchreport) can measure the
-// allocation behavior of both paths in one binary. Production code never
-// sets it.
-var LegacyAlloc bool
-
 // Event is a scheduled callback. The zero Event is invalid; events are
 // created through Engine.Schedule and Engine.At.
 //
@@ -127,7 +119,6 @@ type Engine struct {
 	// slots; Cancel marks instead of removing, and the queue is compacted
 	// once cancelled events dominate it.
 	cancelled int
-	legacy    bool
 
 	// Timer wheel (EnableTimerWheel): near-future events — heartbeat,
 	// probe and sampler ticks at cluster scale — go into fixed-width ring
@@ -154,7 +145,7 @@ type wheelSlot struct {
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
 func NewEngine() *Engine {
-	return &Engine{legacy: LegacyAlloc}
+	return &Engine{}
 }
 
 // alloc returns a recycled Event when one is available.
@@ -173,9 +164,6 @@ func (e *Engine) alloc(at Time, fn func()) *Event {
 // recycle returns an event the engine is done with to the free list. The
 // fired/cancel flags survive until reuse so stale accessors stay truthful.
 func (e *Engine) recycle(ev *Event) {
-	if e.legacy {
-		return
-	}
 	ev.fn = nil // release the closure and anything it captured
 	e.free = append(e.free, ev)
 }
@@ -206,11 +194,10 @@ func (e *Engine) Pending() int { return len(e.queue) - e.cancelled + e.wheelLive
 // into a timer wheel (O(1) insert and cancel) instead of the heap, which
 // keeps only sparse far-future events. Firing order is unchanged: the wheel
 // and heap are merged by (time, sequence) on every pop, so an enabled wheel
-// is observationally identical to the plain heap. Under LegacyAlloc (and
-// once a wheel is already installed) this is a no-op, which gives the
-// benchmark harness a one-knob before/after comparison.
+// is observationally identical to the plain heap. Once a wheel is installed
+// this is a no-op.
 func (e *Engine) EnableTimerWheel(slot Duration, slots int) {
-	if e.legacy || e.wheel != nil {
+	if e.wheel != nil {
 		return
 	}
 	if slot <= 0 || slots < 2 {
@@ -497,10 +484,6 @@ func (e *Engine) Cancel(ev *Event) {
 		return
 	}
 	if ev.index < 0 {
-		return
-	}
-	if e.legacy {
-		heap.Remove(&e.queue, ev.index)
 		return
 	}
 	e.cancelled++

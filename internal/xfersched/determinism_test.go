@@ -1,12 +1,12 @@
 package xfersched
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
 
 	"e2edt/internal/core"
-	"e2edt/internal/fluid"
 	"e2edt/internal/sim"
 	"e2edt/internal/units"
 )
@@ -69,31 +69,24 @@ func TestDeterministicSchedule(t *testing.T) {
 	}
 }
 
-// TestOptimizedSolverTraceBitIdentical pins the incremental-solver and
-// event-recycling optimizations to the unoptimized behavior: the same
-// seeded trace run with the legacy from-scratch solver and eager event
-// allocation must produce a bit-identical schedule fingerprint (exact
-// float bits on every start/finish time and aggregate metric). This is the
-// guarantee that lets the BENCH_PR3 speedups claim zero behavior change.
+// goldenTraceSHA pins the SHA-256 of runTrace's fingerprint for the trace
+// below. The fingerprint carries exact float bits, so any change to the
+// solver or the event engine that moves one start time, finish time or
+// aggregate metric fails here. Recorded with go1.24 on amd64.
+const goldenTraceSHA = "7e62bc92fd18c2d5e3a037ede6760a6ebc66e750276c732d317c6963fc95c480"
+
+// TestOptimizedSolverTraceBitIdentical pins the incremental solver and the
+// event-recycling engine to a recorded schedule: the seeded trace must
+// reproduce the golden fingerprint digest bit for bit.
 func TestOptimizedSolverTraceBitIdentical(t *testing.T) {
 	tc := DefaultTraceConfig()
 	tc.Jobs = 10
 	tc.JobsPerMinute = 40
 	tc.MinBytes = units.GB
 	tc.MaxBytes = 5 * units.GB
-	optimized := runTrace(t, tc)
-
-	fluid.LegacyFullSolve = true
-	sim.LegacyAlloc = true
-	defer func() {
-		fluid.LegacyFullSolve = false
-		sim.LegacyAlloc = false
-	}()
-	legacy := runTrace(t, tc)
-
-	if optimized != legacy {
-		t.Fatalf("optimized solver diverged from unoptimized baseline:\n--- optimized ---\n%s--- legacy ---\n%s",
-			optimized, legacy)
+	fp := runTrace(t, tc)
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp))); got != goldenTraceSHA {
+		t.Fatalf("schedule digest %s, want golden %s; fingerprint:\n%s", got, goldenTraceSHA, fp)
 	}
 }
 
