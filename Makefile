@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt lint verify bench bench-smoke failover-smoke placer-smoke cluster-smoke chaos-smoke gray-smoke objsim-smoke bench-pr6
+.PHONY: build test race vet fmt lint verify simbench-test bench bench-smoke failover-smoke placer-smoke cluster-smoke chaos-smoke gray-smoke objsim-smoke bench-pr6
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 verify: fmt vet build race
+
+# The benchmark module's own tests: golden-digest replays of every
+# workload plus its determinism checks. simbench/ is a separate Go module,
+# so `go test ./...` at the root never reaches it (CI runs this).
+simbench-test:
+	cd simbench && $(GO) test ./...
 
 bench:
 	$(GO) run ./cmd/benchreport -out BENCH_PR8.json

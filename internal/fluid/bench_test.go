@@ -79,15 +79,24 @@ func BenchmarkDemandChurn1kFlows(b *testing.B) {
 	}
 }
 
+// BenchmarkTransferChurn runs start/complete cycles: the event-integration
+// hot path plus a full flow lifecycle, each flow crossing 8 resources with
+// 64 tagged usages, folded into the usage buckets at completion.
 func BenchmarkTransferChurn(b *testing.B) {
-	// Start/complete cycles exercise the event-integration hot path.
 	eng := sim.NewEngine()
 	s := NewSim(eng)
-	link := s.AddResource("link", 1e9)
+	rs := make([]*Resource, 8)
+	for i := range rs {
+		rs[i] = s.AddResource("r", 1e9+float64(i))
+	}
+	tags := []string{"user", "sys", "copy"}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := s.NewFlow("f", math.Inf(1))
-		f.Use(link, 1)
+		for j := 0; j < 64; j++ {
+			f.UseTagged(rs[j%len(rs)], 0.1+float64(j%5)*0.05, tags[j%len(tags)])
+		}
 		s.Start(&Transfer{Flow: f, Remaining: 1e6})
 		eng.Run()
 	}

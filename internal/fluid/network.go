@@ -66,6 +66,11 @@ type Resource struct {
 	comp  *component
 	// solvedCap is the capacity the last fill of comp read.
 	solvedCap float64
+
+	// acct holds the consumption Sim has folded into the resource, one
+	// bucket per accounting tag. Sim.accounted lists the resources whose
+	// acct is non-empty.
+	acct []bucket
 }
 
 // Load returns the aggregate consumption on the resource from the most
@@ -100,7 +105,11 @@ type Flow struct {
 	Name   string
 	Demand float64 // per-member upper bound on rate; math.Inf(1) if unbounded
 	Weight float64 // per-member share weight for max-min fairness; must be > 0
-	Uses   []Usage
+	// Uses lists the resources the flow consumes. The network owns its
+	// backing array: RemoveFlow clears the array, recycles it for a later
+	// flow and sets Uses to nil. Never keep a Uses slice past RemoveFlow —
+	// it would alias another flow's usages.
+	Uses []Usage
 
 	// members is the stream multiplicity (≥1). The class competes with
 	// effective weight Weight×members and Rate() aggregates all members.
@@ -213,6 +222,11 @@ type Network struct {
 	dirtyF []*Flow
 	lone   []*Flow
 
+	// spare holds the cleared Uses arrays of removed flows, each with
+	// length 0; NewFlowClass hands them to new flows so that building a
+	// flow's path does not allocate in steady state.
+	spare [][]Usage
+
 	stats   SolverStats
 	removed int // retired-resource count; keys unique negative indices
 }
@@ -250,6 +264,11 @@ func (n *Network) NewFlowClass(name string, demand float64, members int) *Flow {
 	f := &Flow{Name: name, Demand: demand, Weight: 1, members: members,
 		index: len(n.flows), net: n,
 		solvedDemand: math.NaN(), solvedWeight: math.NaN()}
+	if k := len(n.spare); k > 0 {
+		f.Uses = n.spare[k-1]
+		n.spare[k-1] = nil
+		n.spare = n.spare[:k-1]
+	}
 	n.flows = append(n.flows, f)
 	return f
 }
@@ -272,7 +291,10 @@ func (n *Network) Registered(f *Flow) bool {
 	return i >= 0 && i < len(n.flows) && n.flows[i] == f
 }
 
-// RemoveFlow unregisters a flow. Its last solved rate becomes zero.
+// RemoveFlow unregisters a flow. Its last solved rate becomes zero. The
+// network takes back the flow's Uses array for reuse by a later flow: the
+// array is cleared and f.Uses set to nil, so a stale reader sees an empty
+// path, never another flow's usages.
 func (n *Network) RemoveFlow(f *Flow) {
 	if !n.Registered(f) {
 		return // already removed, or foreign flow
@@ -289,6 +311,12 @@ func (n *Network) RemoveFlow(f *Flow) {
 	f.net = nil
 	f.rate = 0
 	f.memberRate = 0
+	if c := cap(f.Uses); c > 0 {
+		uses := f.Uses[:c]
+		clear(uses)
+		n.spare = append(n.spare, uses[:0])
+	}
+	f.Uses = nil
 }
 
 // RemoveResource unregisters a resource that no registered flow crosses

@@ -1,9 +1,10 @@
 package fluid
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"e2edt/internal/sim"
 )
@@ -44,10 +45,10 @@ func (t *Transfer) Started() sim.Time { return t.started }
 // active).
 func (t *Transfer) Finished() sim.Time { return t.finished }
 
-// AccountKey identifies a consumption bucket for resource accounting.
-type AccountKey struct {
-	Resource *Resource
-	Tag      string
+// bucket is one accounting tag's folded consumption on a resource.
+type bucket struct {
+	tag string
+	v   float64
 }
 
 // Sim couples a fluid Network with a discrete-event engine: it starts and
@@ -64,11 +65,12 @@ type Sim struct {
 	lastSync   sim.Time
 	completion *sim.Event
 
-	// usage holds resource-units consumed by finished transfers, folded
-	// once at completion (usage per bucket = Σ coeff × bytes moved).
-	// Active transfers contribute lazily through their progress, so the
-	// per-event hot path never touches this map.
-	usage map[AccountKey]float64
+	// accounted lists the resources holding folded usage buckets
+	// (Resource.acct): resource-units consumed by finished transfers,
+	// folded once at completion (usage per bucket = Σ coeff × bytes
+	// moved). Active transfers contribute lazily through their progress,
+	// so the per-event hot path never touches the buckets.
+	accounted []*Resource
 }
 
 // NewSim returns a simulator over a fresh network.
@@ -76,7 +78,6 @@ func NewSim(eng *sim.Engine) *Sim {
 	return &Sim{
 		Engine:  eng,
 		Network: NewNetwork(),
-		usage:   make(map[AccountKey]float64),
 	}
 }
 
@@ -265,22 +266,43 @@ func (s *Sim) Sync() {
 }
 
 // fold moves a finished (or reset) transfer's consumption into the usage
-// map: usage per bucket = coeff × bytes moved since the last fold.
+// buckets: usage per bucket = coeff × bytes moved since the last fold.
 func (s *Sim) fold(t *Transfer) {
 	moved := t.transferred - t.usageBase
 	if moved <= 0 {
 		return
 	}
 	for _, u := range t.Flow.Uses {
-		s.usage[AccountKey{u.Resource, u.Tag}] += u.Coeff * moved
+		s.charge(u.Resource, u.Tag, u.Coeff*moved)
 	}
 	t.usageBase = t.transferred
+}
+
+// charge adds v to r's bucket for tag, creating the bucket if it is new.
+// A resource carries a handful of tags, so a linear scan beats hashing.
+func (s *Sim) charge(r *Resource, tag string, v float64) {
+	for i := range r.acct {
+		if r.acct[i].tag == tag {
+			r.acct[i].v += v
+			return
+		}
+	}
+	if len(r.acct) == 0 {
+		s.accounted = append(s.accounted, r)
+	}
+	r.acct = append(r.acct, bucket{tag: tag, v: v})
 }
 
 // Usage returns accumulated resource-units for a resource/tag bucket,
 // including the lazy contribution of still-active transfers.
 func (s *Sim) Usage(r *Resource, tag string) float64 {
-	total := s.usage[AccountKey{r, tag}]
+	total := 0.0
+	for _, b := range r.acct {
+		if b.tag == tag {
+			total = b.v
+			break
+		}
+	}
 	for _, t := range s.active {
 		moved := t.transferred - t.usageBase
 		if moved <= 0 {
@@ -299,20 +321,16 @@ func (s *Sim) Usage(r *Resource, tag string) float64 {
 // (pass nil for all resources), including active transfers.
 func (s *Sim) UsageByTag(filter func(*Resource) bool) map[string]float64 {
 	out := make(map[string]float64)
-	// Sum the folded map in a stable order so reports are reproducible.
-	keys := make([]AccountKey, 0, len(s.usage))
-	for k := range s.usage {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Resource.index != keys[j].Resource.index {
-			return keys[i].Resource.index < keys[j].Resource.index
-		}
-		return keys[i].Tag < keys[j].Tag
-	})
-	for _, k := range keys {
-		if filter == nil || filter(k.Resource) {
-			out[k.Tag] += s.usage[k]
+	// Sum the folded buckets in ascending resource index order so reports
+	// are reproducible: each tag's total adds its buckets resource by
+	// resource. Indices are unique, retired resources included (they keep
+	// a negative one).
+	slices.SortFunc(s.accounted, func(a, b *Resource) int { return cmp.Compare(a.index, b.index) })
+	for _, r := range s.accounted {
+		if filter == nil || filter(r) {
+			for _, b := range r.acct {
+				out[b.tag] += b.v
+			}
 		}
 	}
 	for _, t := range s.active {
@@ -333,7 +351,12 @@ func (s *Sim) UsageByTag(filter func(*Resource) bool) map[string]float64 {
 // example). Progress on transfers is unaffected.
 func (s *Sim) ResetUsage() {
 	s.Sync()
-	s.usage = make(map[AccountKey]float64)
+	for _, r := range s.accounted {
+		clear(r.acct)
+		r.acct = r.acct[:0]
+	}
+	clear(s.accounted)
+	s.accounted = s.accounted[:0]
 	for _, t := range s.active {
 		t.usageBase = t.transferred
 	}

@@ -62,13 +62,22 @@ func New(name string, m *numa.Machine) *Host {
 
 // Process is a named group of threads sharing a placement policy.
 type Process struct {
-	Host   *Host
+	Host *Host
+	// Name is fixed once the process first charges a flow: its accounting
+	// tags are composed from it then and cached.
 	Name   string
 	Policy numa.Policy
 	// Node is the bound node under PolicyBind (nil otherwise).
 	Node    *numa.Node
 	Threads []*Thread
+
+	// tags caches the accounting tag of each category charged so far, so
+	// a charge does not build a string.
+	tags []procTag
 }
+
+// procTag is one cached "process:category" accounting tag.
+type procTag struct{ category, tag string }
 
 // NewProcess creates a process. Under PolicyBind with a nil node, nodes are
 // assigned round-robin (one target process per node, as the paper's
@@ -151,8 +160,19 @@ func (t *Thread) Node() *numa.Node {
 	return nil
 }
 
-// tag composes the accounting tag "process:category".
-func (p *Process) tag(category string) string { return p.Name + ":" + category }
+// tag returns the accounting tag "process:category", composed once per
+// category. A process charges a handful of categories, so a linear scan
+// beats hashing.
+func (p *Process) tag(category string) string {
+	for _, t := range p.tags {
+		if t.category == category {
+			return t.tag
+		}
+	}
+	tag := p.Name + ":" + category
+	p.tags = append(p.tags, procTag{category, tag})
+	return tag
+}
 
 // ChargeCPU attaches cyclesPerByte of CPU work in the given category to
 // flow f. The work lands on the thread's pinned core, or is spread across

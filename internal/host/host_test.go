@@ -288,3 +288,17 @@ func TestHostCPUReportAggregates(t *testing.T) {
 		t.Fatal("processes not registered")
 	}
 }
+
+func TestProcessTagCached(t *testing.T) {
+	_, _, h := testMachine(t)
+	p := h.NewProcess("tgt", numa.PolicyBind, h.M.Node(0))
+	if got := p.tag(CatUser); got != "tgt:user" {
+		t.Fatalf("tag = %q, want tgt:user", got)
+	}
+	if got := p.tag(CatSys); got != "tgt:sys" {
+		t.Fatalf("tag = %q, want tgt:sys", got)
+	}
+	if avg := testing.AllocsPerRun(100, func() { p.tag(CatUser) }); avg != 0 {
+		t.Fatalf("cached tag allocates %v per call", avg)
+	}
+}
