@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt lint verify simbench-test bench bench-smoke failover-smoke placer-smoke cluster-smoke chaos-smoke gray-smoke objsim-smoke bench-pr6
+.PHONY: build test race vet fmt lint verify simbench-test bench-smoke failover-smoke placer-smoke cluster-smoke chaos-smoke gray-smoke objsim-smoke
 
 build:
 	$(GO) build ./...
@@ -38,18 +38,12 @@ verify: fmt vet build race
 simbench-test:
 	cd simbench && $(GO) test ./...
 
-bench:
-	$(GO) run ./cmd/benchreport -out BENCH_PR8.json
-
-# One iteration of every benchmark in the tree (keeps benchmarks from
-# bit-rotting), then the benchreport smoke gate: asserts the committed
-# BENCH_PR8.json carries the 100k-flow churn row at ≥10× and that a live
-# re-measurement of that point is ≥10× too (CI runs this). Bit identity
-# of the seeded output is checked by the golden-digest tests that
-# `go test ./...` runs.
+# One iteration of every benchmark in the tree, so none bit-rots: the
+# paper artifacts at the root plus the package micro-benchmarks (CI runs
+# this). The flow-class ≥10× churn gate is a plain test
+# (internal/fluid TestClassChurnTenfold) and runs with `go test ./...`.
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
-	$(GO) run ./cmd/benchreport -smoke -out BENCH_PR8.json
 
 # Two seeded rail-failover runs through the CLI: a permanent rail kill
 # plus silent corruption, with checksums on. Exercises migration,
@@ -110,8 +104,3 @@ objsim-smoke:
 	$(GO) run ./cmd/objsim -coalesce 1 -objects 256 -replay-check
 	$(GO) run ./cmd/objsim -coalesce 64 -replay-check
 	$(GO) run ./cmd/objsim -cluster -objects 512 -coalesce 64 -replay-check
-
-# Full S5 scaling sweep (100/300/1000 hosts, each run twice) → BENCH_PR6.json.
-# Takes several minutes; not part of CI.
-bench-pr6:
-	$(GO) run ./cmd/clusterbench -o BENCH_PR6.json

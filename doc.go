@@ -2,9 +2,10 @@
 // "Design and Performance Evaluation of NUMA-Aware RDMA-Based End-to-End
 // Data Transfer Systems" (Ren, Li, Yu, Jin, Robertazzi — SC '13).
 //
-// The repository root holds the module documentation and the benchmark
-// harness (bench_test.go), which regenerates every table and figure in the
-// paper's evaluation as a Go benchmark. The library lives under internal/:
-// see README.md for the architecture, DESIGN.md for the paper-to-package
-// substitution map, and EXPERIMENTS.md for paper-versus-measured results.
+// The repository root holds the module documentation and one table-driven
+// benchmark (bench_test.go) that runs each table and figure of the paper's
+// evaluation through the experiment registry. The library lives under
+// internal/: see README.md for the architecture, DESIGN.md for the
+// paper-to-package substitution map, and EXPERIMENTS.md for
+// paper-versus-measured results.
 package e2edt

@@ -18,8 +18,9 @@ func init() {
 }
 
 // ClusterRunSpec parameterizes one cluster scenario run; it is shared by
-// the S5/S6 harnesses, the cmd/xfersched cluster mode, and
-// cmd/clusterbench so every consumer measures exactly the same system.
+// the S5/S6 harnesses and the cmd/xfersched cluster mode so both measure
+// exactly the same system (simbench's cluster workloads are pinned to it
+// by test).
 type ClusterRunSpec struct {
 	Hosts    int
 	Shards   int

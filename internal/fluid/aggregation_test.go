@@ -3,7 +3,9 @@ package fluid
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // use is one (resource, coefficient) edge of a class spec, shared between
@@ -261,6 +263,54 @@ func TestClassChurnAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("class-hit churn allocates %v per Resolve, want 0", avg)
+	}
+}
+
+// churnNsPerOp builds a 64-resource mesh carrying nMembers member streams,
+// each crossing 4 resources, as one flow class per classSize streams (the
+// way the cluster pools same-route jobs; 1 means one flow per stream). It
+// then times ops binding demand changes plus Resolve. The 1 <-> 1e12 toggle
+// keeps min(old, new) at the flow's frozen rate, so every op runs a genuine
+// bottleneck-subgraph refill rather than the non-binding fast path.
+func churnNsPerOp(nMembers, classSize, ops int) float64 {
+	n := NewNetwork()
+	rs := make([]*Resource, 64)
+	for i := range rs {
+		rs[i] = n.AddResource("r", 1e9+float64(i))
+	}
+	flows := make([]*Flow, nMembers/classSize)
+	for i := range flows {
+		f := n.NewFlowClass("c", 1e12, classSize)
+		for j := 0; j < 4; j++ {
+			f.Use(rs[(i*13+j*17)%len(rs)], 0.2+float64(j)*0.1)
+		}
+		flows[i] = f
+	}
+	n.Resolve()
+	runtime.GC()
+	start := time.Now()
+	for i := 0; i < ops; i++ {
+		f := flows[i%len(flows)]
+		if i%2 == 0 {
+			f.Demand = 1
+		} else {
+			f.Demand = 1e12
+		}
+		n.Resolve()
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(ops)
+}
+
+// TestClassChurnTenfold is the flow-class scaling gate: against 100k member
+// streams, a binding demand change plus Resolve must cost at least 10x less
+// with 100-member flow classes than with one solver flow per stream.
+func TestClassChurnTenfold(t *testing.T) {
+	flat := churnNsPerOp(100_000, 1, 10)
+	class := churnNsPerOp(100_000, 100, 400)
+	t.Logf("100k-stream churn: flat %.0f ns/op, classes %.0f ns/op, %.0fx", flat, class, flat/class)
+	if flat < 10*class {
+		t.Fatalf("flow classes cut churn cost only %.1fx (flat %.0f ns/op, classes %.0f ns/op), want >= 10x",
+			flat/class, flat, class)
 	}
 }
 

@@ -41,8 +41,8 @@ func BenchmarkSolve64Flows(b *testing.B) {
 }
 
 // benchChurnSim builds a Sim carrying nFlows concurrent open-ended
-// transfers across a 64-resource mesh, the topology shape of the scaling
-// benchmarks in cmd/benchreport.
+// transfers across a 64-resource mesh, the topology shape of the flow-class
+// churn gate (TestClassChurnTenfold).
 func benchChurnSim(nFlows int) (*sim.Engine, *Sim, []*Flow) {
 	eng := sim.NewEngine()
 	s := NewSim(eng)

@@ -41,3 +41,35 @@ func BenchmarkScheduleCancelChurn(b *testing.B) {
 		evs[slot] = e.Schedule(Duration(2000+i), func() {})
 	}
 }
+
+// BenchmarkTickerStorm is steady-state periodic-event throughput, the
+// heartbeat/probe/sampler load at cluster scale: 100k self-rescheduling
+// tickers on the plain event heap and on the timer wheel. One op is one
+// fired event; the rescheduling closures are pre-built so the row isolates
+// the event structures.
+func BenchmarkTickerStorm(b *testing.B) {
+	for _, wheel := range []bool{false, true} {
+		name := "heap"
+		if wheel {
+			name = "wheel"
+		}
+		b.Run(name, func(b *testing.B) {
+			e := NewEngine()
+			if wheel {
+				e.EnableTimerWheel(0.005, 256)
+			}
+			fns := make([]func(), 100_000)
+			for i := range fns {
+				iv := Duration(0.4 + 0.2*float64(i%101)/100)
+				fns[i] = func() { e.Schedule(iv, fns[i]) }
+				e.Schedule(iv, fns[i])
+			}
+			e.RunFor(1) // warm the free list and slot arrays
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
+	}
+}
