@@ -77,7 +77,8 @@ chaos-smoke:
 	$(GO) run ./cmd/xfersched -cluster -hosts 100 -shards 8 -ctenants 400 -cjobs 1200 -drop 2 -seed 7 \
 		-kill-host 7@8+8 -kill-ctrl 0@15 -partition 5,6,7@20+6 -replay-check
 
-# Gray-failure gate: the gray/hedge/shed suites under the race detector,
+# Gray-failure gate: the gray/hedge/shed suites and the shared peer-outlier
+# scorer's tests (metrics.Peers) under the race detector,
 # then the full S7 experiment — its acceptance checks (detection fires on a
 # sagging rail, hedged goodput ≥90% of healthy while the no-mitigation
 # ablation collapses ≤60%, bounded detection latency, bit-identical replay)
@@ -85,7 +86,7 @@ chaos-smoke:
 # hedging (exits non-zero unless every job delivers) and a cluster host
 # limp under the shed valve with the replay-hash check (CI runs this).
 gray-smoke:
-	$(GO) test -race -run 'Gray|Hedge|Suspect|Shed|Limp|Window|Validate' \
+	$(GO) test -race -run 'Gray|Hedge|Suspect|Shed|Limp|Window|Validate|Peer' \
 		./internal/faults ./internal/railmgr ./internal/rftp \
 		./internal/metrics ./internal/xfersched ./internal/cluster
 	$(GO) run ./cmd/e2ebench -run S7

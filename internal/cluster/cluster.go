@@ -144,11 +144,6 @@ func (c Config) Validate() error {
 	if c.MissedBeats < 0 {
 		return fmt.Errorf("cluster: MissedBeats must not be negative, got %d", c.MissedBeats)
 	}
-	if c.Gray.Enabled && c.Gray.SuspectBelow > 0 && c.Gray.ClearAbove > 0 &&
-		c.Gray.SuspectBelow >= c.Gray.ClearAbove {
-		return fmt.Errorf("cluster: Gray.SuspectBelow (%g) must sit below Gray.ClearAbove (%g) — the gap is the hysteresis band",
-			c.Gray.SuspectBelow, c.Gray.ClearAbove)
-	}
 	for _, d := range []struct {
 		name string
 		v    sim.Duration
@@ -158,7 +153,6 @@ func (c Config) Validate() error {
 		{"ReconcileEvery", c.ReconcileEvery}, {"HeartbeatEvery", c.HeartbeatEvery},
 		{"LeaseEvery", c.LeaseEvery}, {"LeaseTimeout", c.LeaseTimeout},
 		{"ElectStagger", c.ElectStagger}, {"GiveUpAfter", c.GiveUpAfter},
-		{"Gray.Every", c.Gray.Every},
 	} {
 		if d.v < 0 {
 			return fmt.Errorf("cluster: %s must not be negative, got %g", d.name, float64(d.v))
@@ -255,9 +249,6 @@ func (c *Config) SetDefaults() {
 	}
 	if c.GiveUpAfter <= 0 {
 		c.GiveUpAfter = 30
-	}
-	if c.Gray.Enabled {
-		c.Gray = c.Gray.withDefaults()
 	}
 }
 
@@ -385,15 +376,10 @@ type Cluster struct {
 	partSide    []bool // per-shard partition side (true = severed group)
 
 	// Gray-health state. limp is physical truth (the current core-speed
-	// factor, 1 = nominal); hostSuspect is the scorer's statistical view.
-	// The rate arrays are allocated only when Cfg.Gray.Enabled.
+	// factor, 1 = nominal); gray is the scorer's statistical view.
 	limp         []float64
-	hostRate     []*metrics.EWMA
-	hostRatio    []float64
+	gray         *metrics.Peers
 	hostProg     []float64
-	hostBreach   []int
-	hostClear    []int
-	hostSuspect  []bool
 	shedding     bool
 	firstHostSus sim.Time
 	grayT        *sim.Ticker
@@ -514,21 +500,11 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	}
 	c.partSide = make([]bool, cfg.Shards)
 	c.limp = make([]float64, cfg.Hosts)
-	c.hostSuspect = make([]bool, cfg.Hosts)
-	c.hostRatio = make([]float64, cfg.Hosts)
+	c.gray = metrics.NewPeers(cfg.Hosts, grayLimits)
+	c.hostProg = make([]float64, cfg.Hosts)
 	c.firstHostSus = -1
 	for h := 0; h < cfg.Hosts; h++ {
 		c.limp[h] = 1
-		c.hostRatio[h] = 1
-	}
-	if cfg.Gray.Enabled {
-		c.hostRate = make([]*metrics.EWMA, cfg.Hosts)
-		c.hostProg = make([]float64, cfg.Hosts)
-		c.hostBreach = make([]int, cfg.Hosts)
-		c.hostClear = make([]int, cfg.Hosts)
-		for h := 0; h < cfg.Hosts; h++ {
-			c.hostRate[h] = metrics.NewEWMA(cfg.Gray.Decay)
-		}
 	}
 	// A dead switch trunk strands the flows routed over it; re-route them
 	// as the ECMP tables reconverge. Access-link failures are host crashes
@@ -922,7 +898,7 @@ func (c *Cluster) Run() {
 		sh.startTickers()
 	}
 	if c.Cfg.Gray.Enabled {
-		c.grayT = c.Eng.NewTicker(c.Cfg.Gray.Every, func(now sim.Time) { c.scoreHosts(now) })
+		c.grayT = c.Eng.NewTicker(grayEvery, func(now sim.Time) { c.scoreHosts(now) })
 	}
 	c.Eng.Run()
 	c.FSim.Sync()

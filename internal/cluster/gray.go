@@ -18,66 +18,36 @@ import (
 	"e2edt/internal/sim"
 )
 
-// GrayConfig tunes the host outlier scorer and the admission shed valve.
+// GrayConfig switches on the host outlier scorer and the admission shed
+// valve.
 type GrayConfig struct {
 	// Enabled arms the scorer ticker and the shed valve. Off (the zero
 	// value), the cluster performs no gray accounting at all.
 	Enabled bool
-	// Every is the scoring cadence (default 0.25).
-	Every sim.Duration
-	// Decay is the EWMA smoothing factor for per-host delivered-rate
-	// estimates (default 0.3).
-	Decay float64
-	// SuspectBelow marks a host suspect when its per-job delivered rate
-	// falls below this fraction of the cohort median (default 0.5).
-	SuspectBelow float64
-	// ClearAbove exonerates a suspect once its ratio recovers past this
-	// fraction (default 0.8); the gap to SuspectBelow is the hysteresis
-	// band.
-	ClearAbove float64
-	// SuspectAfter is how many consecutive breaching scores convict
-	// (default 2); ClearAfter how many clean scores exonerate (default 2).
-	SuspectAfter int
-	ClearAfter   int
-	// MinSamples is how many rate observations a host needs before it joins
-	// the scoring cohort (default 3).
-	MinSamples int
-	// ShedBelow is the admission priority floor while any host is under a
-	// gray verdict: queued jobs with priority < ShedBelow are held — shed —
-	// until the cohort is healthy again, or until they have waited past
-	// GiveUpAfter (shedding defers work, it never starves it). Default 1,
-	// so the lowest service class sheds first.
-	ShedBelow int
 }
 
-// withDefaults fills zero fields.
-func (g GrayConfig) withDefaults() GrayConfig {
-	if g.Every <= 0 {
-		g.Every = 0.25
-	}
-	if g.Decay <= 0 || g.Decay > 1 {
-		g.Decay = 0.3
-	}
-	if g.SuspectBelow <= 0 {
-		g.SuspectBelow = 0.5
-	}
-	if g.ClearAbove <= 0 {
-		g.ClearAbove = 0.8
-	}
-	if g.SuspectAfter <= 0 {
-		g.SuspectAfter = 2
-	}
-	if g.ClearAfter <= 0 {
-		g.ClearAfter = 2
-	}
-	if g.MinSamples <= 0 {
-		g.MinSamples = 3
-	}
-	if g.ShedBelow <= 0 {
-		g.ShedBelow = 1
-	}
-	return g
+// grayLimits are the host scorer's thresholds: suspect below 0.5 of the
+// cohort median, cleared above 0.8, each after 2 consecutive rounds; a host
+// joins the cohort after 3 rate samples, smoothed with weight 0.3. Hosts
+// have no Degraded rung.
+var grayLimits = metrics.PeerLimits{
+	Decay:        0.3,
+	MinSamples:   3,
+	SuspectBelow: 0.5,
+	ClearAbove:   0.8,
+	Rounds:       2,
 }
+
+const (
+	// grayEvery is the scoring cadence.
+	grayEvery sim.Duration = 0.25
+	// shedBelow is the admission priority floor while any host is under a
+	// gray verdict: queued jobs with a lower priority are held — shed —
+	// until the cohort is healthy again, or until they have waited past
+	// GiveUpAfter (shedding defers work, it never starves it). The lowest
+	// service class sheds first.
+	shedBelow = 1
+)
 
 // hostProgress returns per-host landed bytes plus the in-flight progress of
 // every inbound transfer, so the rate signal is smooth instead of
@@ -106,18 +76,14 @@ func (c *Cluster) scoreHosts(now sim.Time) {
 	if c.done {
 		return
 	}
-	g := c.Cfg.Gray
 	c.FSim.Sync()
-	dt := float64(g.Every)
+	dt := float64(grayEvery)
 	prog := c.hostProgress()
 
 	for i, hn := range c.hosts {
 		if c.hostDown[i] || c.deadDeclared[i] {
 			c.hostProg[i] = prog[i]
-			c.hostRate[i].Reset()
-			c.hostBreach[i], c.hostClear[i] = 0, 0
-			c.hostSuspect[i] = false
-			c.hostRatio[i] = 1
+			c.gray.Forget(i)
 			continue
 		}
 		delta := prog[i] - c.hostProg[i]
@@ -125,68 +91,37 @@ func (c *Cluster) scoreHosts(now sim.Time) {
 		// An idle host with no delivery is no evidence either way; only
 		// hosts carrying (or just having finished) inbound work are judged.
 		if hn.dstActive > 0 || delta > 0 {
-			c.hostRate[i].Observe(delta / dt / math.Max(1, float64(hn.dstActive)))
+			c.gray.Observe(i, delta/dt/math.Max(1, float64(hn.dstActive)))
 		}
 	}
 
-	var cohort []int
-	for i := range c.hosts {
-		if !c.hostDown[i] && !c.deadDeclared[i] && c.hostRate[i].Samples() >= g.MinSamples {
-			cohort = append(cohort, i)
-		}
-	}
-	if len(cohort) < 2 {
-		return
-	}
-	rates := make([]float64, len(cohort))
-	for k, i := range cohort {
-		rates[k] = c.hostRate[i].Value()
-	}
-	med := metrics.Median(rates)
+	cohort, med := c.gray.Cohort(func(i int) bool { return !c.hostDown[i] && !c.deadDeclared[i] })
+	// No cohort (median 0), or a cohort that delivered nothing: no evidence
+	// this round, and the valve stays as it is.
 	if med <= 0 {
 		return
 	}
 	for _, i := range cohort {
-		ratio := c.hostRate[i].Value() / med
-		c.hostRatio[i] = ratio
+		lvl, moved := c.gray.Judge(i, false)
 		switch {
-		case !c.hostSuspect[i] && ratio < g.SuspectBelow:
-			c.hostClear[i] = 0
-			c.hostBreach[i]++
-			if c.hostBreach[i] >= g.SuspectAfter {
-				c.hostSuspect[i] = true
-				c.hostBreach[i] = 0
-				c.HostSuspects++
-				if c.firstHostSus < 0 {
-					c.firstHostSus = now
-				}
-				c.Eng.Tracef("cluster", "host %d gray-suspect (rate ratio %.2f)", i, ratio)
+		case !moved:
+		case lvl == metrics.Suspected:
+			c.HostSuspects++
+			if c.firstHostSus < 0 {
+				c.firstHostSus = now
 			}
-		case c.hostSuspect[i] && ratio > g.ClearAbove:
-			c.hostBreach[i] = 0
-			c.hostClear[i]++
-			if c.hostClear[i] >= g.ClearAfter {
-				c.hostSuspect[i] = false
-				c.hostClear[i] = 0
-				c.HostClears++
-				c.Eng.Tracef("cluster", "host %d gray verdict cleared (rate ratio %.2f)", i, ratio)
-			}
+			c.Eng.Tracef("cluster", "host %d gray-suspect (rate ratio %.2f)", i, c.gray.Ratio(i))
 		default:
-			c.hostBreach[i], c.hostClear[i] = 0, 0
+			c.HostClears++
+			c.Eng.Tracef("cluster", "host %d gray verdict cleared (rate ratio %.2f)", i, c.gray.Ratio(i))
 		}
 	}
 
-	shedding := false
-	for _, s := range c.hostSuspect {
-		if s {
-			shedding = true
-			break
-		}
-	}
+	shedding := len(c.SuspectHosts()) > 0
 	if shedding != c.shedding {
 		c.shedding = shedding
 		if shedding {
-			c.Eng.Tracef("cluster", "shed valve closes: priorities below %d held", g.ShedBelow)
+			c.Eng.Tracef("cluster", "shed valve closes: priorities below %d held", shedBelow)
 		} else {
 			c.Eng.Tracef("cluster", "shed valve reopens")
 		}
@@ -200,14 +135,16 @@ func (c *Cluster) scoreHosts(now sim.Time) {
 	}
 }
 
+// suspect reports whether host h is under a gray verdict.
+func (c *Cluster) suspect(h int) bool { return c.gray.Level(h) != metrics.Trusted }
+
 // shedHeld reports whether the valve holds job j this admission pass, and
 // counts each job's first shed exactly once. A job that has already waited
 // past GiveUpAfter passes the valve regardless: shedding trades latency for
 // headroom, it never becomes starvation.
 func (s *shard) shedHeld(j *job) bool {
 	c := s.c
-	g := c.Cfg.Gray
-	if !g.Enabled || !c.shedding || j.priority >= g.ShedBelow {
+	if !c.Cfg.Gray.Enabled || !c.shedding || j.priority >= shedBelow {
 		return false
 	}
 	if c.Eng.Now()-j.submit > sim.Time(c.Cfg.GiveUpAfter) {
@@ -222,15 +159,7 @@ func (s *shard) shedHeld(j *job) bool {
 }
 
 // SuspectHosts returns the ids of hosts currently under a gray verdict.
-func (c *Cluster) SuspectHosts() []int {
-	var out []int
-	for i, s := range c.hostSuspect {
-		if s {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+func (c *Cluster) SuspectHosts() []int { return c.gray.Flagged() }
 
 // FirstHostSuspectAt returns the virtual time of the first host suspect
 // verdict and whether one ever happened.

@@ -413,7 +413,7 @@ func (s *shard) pickSource(j *job) int {
 			continue
 		}
 		score := s.c.locality(r, j.dst)
-		if s.c.hostSuspect[r] {
+		if s.c.suspect(r) {
 			// A limping replica is worse than any healthy locality tier:
 			// read from it only when nothing healthy holds the data.
 			score += localityCore + 1

@@ -33,8 +33,8 @@ type ClusterRunSpec struct {
 	// Chaos, when non-nil, injects cluster-scale faults into the run.
 	Chaos *ChaosSpec
 
-	// Gray arms the host outlier scorer and the admission shed valve
-	// (cluster.GrayConfig defaults).
+	// Gray arms the host outlier scorer and the admission shed valve,
+	// whose thresholds are constants of package cluster.
 	Gray bool
 }
 

@@ -15,6 +15,7 @@ import (
 var goldenDigests = map[string]string{
 	"S1": "d0ecd49af572d754036c77bba222bc272e31540a4508080581c8c0e6941d51fe",
 	"S2": "2e90e0fb53f6223d043ef8fa326bb1e8adfd9bc4663cec326a7518c0f267f5f9",
+	"S3": "c5c7aecefbb6248a504b61a85c1c1fb028668507e1f41cf7936793897a4a7d79",
 	"S6": "f41b8c7263280a8b41c81827eb54091db040224445376213ed6909a46bca3313",
 	"S7": "090d30d068e924e2ea827f806fbdfe6272cd40bc6f956886e987a420e419bd0b",
 	"S8": "c51bd1ac5fdb09d64cd8bcad5316df1ffcb0d172c95d3d0905870c15b094b8f0",

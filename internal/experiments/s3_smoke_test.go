@@ -16,4 +16,5 @@ func TestRailFailoverShape(t *testing.T) {
 	if len(r.Notes) == 0 {
 		t.Fatal("no notes")
 	}
+	checkGolden(t, "S3", r)
 }

@@ -381,8 +381,8 @@ func (l *Link) LatencyFactor() float64 { return l.latInflate }
 // every-th control message is dropped (Send reports false), deterministic
 // and counter-driven so replays are bit-identical. Zero disables. The
 // point of "every-th" rather than consecutive loss: a probe miss here and
-// there never accumulates into the MissedProbes run a binary death
-// detector needs, so the rail stays nominally healthy while retries eat
+// there never accumulates into the run of consecutive misses a binary
+// death detector needs, so the rail stays nominally healthy while retries eat
 // goodput.
 func (l *Link) SetSilentLoss(every int) {
 	if every < 0 {

@@ -66,8 +66,8 @@ func TestGraySuspectOnSilentSag(t *testing.T) {
 		t.Fatalf("healthy rail GrayWeight = %g, want 1", w)
 	}
 
-	// Recovery: sag lifts, the suspect is exonerated after ClearAfter
-	// consecutive clean scores.
+	// Recovery: sag lifts, the suspect is exonerated after
+	// grayLimits.Rounds consecutive clean scores.
 	tb.Links[1].GrayDegrade(1)
 	run(tb, 1*sim.Second)
 	if m.State(1) != Healthy {
@@ -81,7 +81,7 @@ func TestGraySuspectOnSilentSag(t *testing.T) {
 	}
 }
 
-// TestGrayEscalatesToDegraded: a collapse below DegradeBelow walks the
+// TestGrayEscalatesToDegraded: a collapse below grayLimits.DegradeBelow walks the
 // hysteresis ladder Healthy→Suspect→Degraded, and the scorer's own
 // degradation is scorer-revocable on recovery.
 func TestGrayEscalatesToDegraded(t *testing.T) {

@@ -76,14 +76,9 @@ type Policy struct {
 	// ProbeTimeout is how long one echo may take before it counts as
 	// missed; it is clamped to at least twice the rail's RTT (default 25 ms).
 	ProbeTimeout sim.Duration
-	// ProbeBytes is the probe message size (default 64).
-	ProbeBytes float64
 	// FailbackProbes is how many consecutive echoes a restored rail must
 	// return before re-admission (default 2).
 	FailbackProbes int
-	// MissedProbes is how many consecutive missed heartbeats declare a
-	// live rail Dead even without a link-down event (default 2).
-	MissedProbes int
 	// Gray configures the peer-comparison outlier scorer that catches
 	// degraded-but-alive rails the binary probe detector cannot see. The
 	// zero value disables it: no extra events, no extra state transitions.
@@ -96,11 +91,17 @@ func DefaultPolicy() Policy {
 		Enabled:        true,
 		ProbeEvery:     100 * sim.Millisecond,
 		ProbeTimeout:   25 * sim.Millisecond,
-		ProbeBytes:     64,
 		FailbackProbes: 2,
-		MissedProbes:   2,
 	}
 }
+
+const (
+	// probeBytes is the probe message size.
+	probeBytes = 64
+	// missedProbes is how many consecutive missed heartbeats declare a
+	// live rail Dead even without a link-down event.
+	missedProbes = 2
+)
 
 // withDefaults fills zero fields.
 func (p Policy) withDefaults() Policy {
@@ -111,16 +112,9 @@ func (p Policy) withDefaults() Policy {
 	if p.ProbeTimeout <= 0 {
 		p.ProbeTimeout = d.ProbeTimeout
 	}
-	if p.ProbeBytes <= 0 {
-		p.ProbeBytes = d.ProbeBytes
-	}
 	if p.FailbackProbes <= 0 {
 		p.FailbackProbes = d.FailbackProbes
 	}
-	if p.MissedProbes <= 0 {
-		p.MissedProbes = d.MissedProbes
-	}
-	p.Gray = p.Gray.withDefaults()
 	return p
 }
 
@@ -166,12 +160,11 @@ type Manager struct {
 	stop   bool
 
 	// Gray scorer state (allocated always, driven only when Gray.Enabled).
-	grayRate  []*metrics.EWMA // per-stream-normalized delivered rate per rail
+	// The scorer's rung doubles as the Degraded owner: a Degraded rail at
+	// rung metrics.Degraded was degraded by the scorer, any other by the link.
+	gray      *metrics.Peers  // per-stream-normalized delivered rate per rail
 	grayLat   []*metrics.EWMA // probe round-trip latency per rail
-	ratio     []float64       // last cohort-relative rate ratio per rail
-	breach    []int           // consecutive scoring breaches (hysteresis up)
-	clear     []int           // consecutive clean scores (hysteresis down)
-	grayDeg   []bool          // rail was Degraded by the scorer, not the link
+	lats      []float64       // scratch for the cohort latency median
 	probeSent []sim.Time      // departure time of the outstanding probe
 	firstSus  sim.Time        // earliest Suspect entry, -1 if never
 }
@@ -190,19 +183,13 @@ func New(eng *sim.Engine, links []*fabric.Link, pol Policy) *Manager {
 		echoes:    make([]int, len(links)),
 		seq:       make([]uint64, len(links)),
 		deadln:    make([]*sim.Event, len(links)),
-		grayRate:  make([]*metrics.EWMA, len(links)),
+		gray:      metrics.NewPeers(len(links), grayLimits),
 		grayLat:   make([]*metrics.EWMA, len(links)),
-		ratio:     make([]float64, len(links)),
-		breach:    make([]int, len(links)),
-		clear:     make([]int, len(links)),
-		grayDeg:   make([]bool, len(links)),
 		probeSent: make([]sim.Time, len(links)),
 		firstSus:  -1,
 	}
 	for i := range links {
-		m.grayRate[i] = metrics.NewEWMA(pol.Gray.Decay)
-		m.grayLat[i] = metrics.NewEWMA(pol.Gray.Decay)
-		m.ratio[i] = 1
+		m.grayLat[i] = metrics.NewEWMA(grayLimits.Decay)
 	}
 	for i, l := range links {
 		switch f := l.Fraction(); {
@@ -276,13 +263,12 @@ func (m *Manager) onLinkEvent(i int, ev fabric.Event) {
 				m.transition(i, Degraded)
 			}
 		case Degraded:
-			if ev.Fraction >= 1 && !m.grayDeg[i] {
+			if ev.Fraction >= 1 && m.gray.Level(i) != metrics.Degraded {
 				m.transition(i, Healthy)
 			}
 		case Suspect:
 			// A visible link-layer degrade outranks a statistical verdict.
 			if ev.Fraction < 1 {
-				m.grayDeg[i] = false
 				m.transition(i, Degraded)
 			}
 		}
@@ -299,7 +285,7 @@ func (m *Manager) tick(now sim.Time) {
 		}
 	}
 	if m.pol.Gray.Enabled {
-		m.score(now)
+		m.score()
 	}
 }
 
@@ -320,8 +306,8 @@ func (m *Manager) probe(i int) {
 		m.deadln[i] = nil
 		m.probeMissed(i, seq)
 	})
-	l.Send(m.pol.ProbeBytes, func(sim.Time) {
-		l.Send(m.pol.ProbeBytes, func(sim.Time) { m.probeEcho(i, seq) })
+	l.Send(probeBytes, func(sim.Time) {
+		l.Send(probeBytes, func(sim.Time) { m.probeEcho(i, seq) })
 	})
 	// A synchronous drop needs no special casing: the armed deadline
 	// expires and counts the miss.
@@ -366,7 +352,7 @@ func (m *Manager) probeMissed(i int, seq uint64) {
 		// A Suspect rail is still subject to the binary detector: real
 		// missed heartbeats kill it like any other live rail.
 		m.missed[i]++
-		if m.missed[i] >= m.pol.MissedProbes {
+		if m.missed[i] >= missedProbes {
 			m.transition(i, Dead)
 		}
 	case Probing:
@@ -389,19 +375,22 @@ func (m *Manager) transition(i int, to State) {
 		m.eng.Cancel(m.deadln[i])
 		m.deadln[i] = nil
 	}
-	m.breach[i], m.clear[i] = 0, 0
+	// Every transition restarts the scorer's counters. Only the scorer's
+	// own verdicts keep their rung; any other move leaves the rail Trusted.
+	lvl := m.gray.Level(i)
+	if !(to == Suspect && lvl == metrics.Suspected || to == Degraded && lvl == metrics.Degraded) {
+		lvl = metrics.Trusted
+	}
+	m.gray.Set(i, lvl)
 	switch {
 	case to == Dead:
 		m.Deaths++
-		m.grayDeg[i] = false
 	case from == Probing && to.Usable():
 		m.Readmissions++
 		// A re-admitted rail starts with a clean statistical slate: its
 		// pre-outage rate history says nothing about the repaired path.
-		m.grayRate[i].Reset()
+		m.gray.Forget(i)
 		m.grayLat[i].Reset()
-		m.ratio[i] = 1
-		m.grayDeg[i] = false
 	case to == Suspect:
 		m.SuspectEntries++
 		if m.firstSus < 0 {

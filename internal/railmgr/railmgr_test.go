@@ -171,11 +171,9 @@ func TestFailbackRequiresConsecutiveEchoes(t *testing.T) {
 
 // TestHeartbeatDeclaresDeath drives the belt-and-braces path directly: a
 // rail whose probes go unanswered (without a link-down edge) is declared
-// Dead after MissedProbes consecutive misses.
+// Dead after missedProbes consecutive misses.
 func TestHeartbeatDeclaresDeath(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.MissedProbes = 2
-	tb, m := newMgr(t, pol)
+	tb, m := newMgr(t, DefaultPolicy())
 	m.probeMissed(0, m.seq[0])
 	if m.State(0) != Healthy {
 		t.Fatalf("one miss flipped the rail: %v", m.State(0))

@@ -21,9 +21,7 @@ func railParams() Params {
 		Enabled:        true,
 		ProbeEvery:     20 * sim.Millisecond,
 		ProbeTimeout:   5 * sim.Millisecond,
-		ProbeBytes:     64,
 		FailbackProbes: 2,
-		MissedProbes:   2,
 	}
 	return p
 }

@@ -114,30 +114,40 @@ func (p Params) recoveryEnabled() bool { return p.AckTimeout > 0 }
 // ladder: the loss detection window plus every backoff it is allowed to
 // wait out. Outer watchdogs build their stall horizon from this.
 func (p Params) RecoveryBudget() sim.Duration {
-	if p.AckTimeout <= 0 {
+	if !p.recoveryEnabled() {
 		return 0
 	}
-	b := p.RetryBackoff
-	if b <= 0 {
-		b = 100 * sim.Millisecond
-	}
-	cap := p.RetryBackoffMax
-	if cap <= 0 {
-		cap = 5 * sim.Second
-	}
-	n := p.MaxStreamRetries
-	if n <= 0 {
-		n = 16
-	}
+	p = p.withRetryDefaults()
 	d := p.AckTimeout
-	for i := 0; i < n; i++ {
-		if b > cap {
-			b = cap
-		}
-		d += b
-		b *= 2
+	for i := 0; i < p.MaxStreamRetries; i++ {
+		d += p.backoff(i)
 	}
 	return d
+}
+
+// withRetryDefaults fills the unset rungs of the same-rail retry ladder:
+// 100 ms first backoff, doubling up to 5 s, 16 retries.
+func (p Params) withRetryDefaults() Params {
+	if p.RetryBackoff <= 0 {
+		p.RetryBackoff = 100 * sim.Millisecond
+	}
+	if p.RetryBackoffMax <= 0 {
+		p.RetryBackoffMax = 5 * sim.Second
+	}
+	if p.MaxStreamRetries <= 0 {
+		p.MaxStreamRetries = 16
+	}
+	return p
+}
+
+// backoff returns the wait before same-rail retry n (from 0): RetryBackoff
+// doubled n times, capped at RetryBackoffMax.
+func (p Params) backoff(n int) sim.Duration {
+	b := p.RetryBackoff
+	for i := 0; i < n && b < p.RetryBackoffMax; i++ {
+		b *= 2
+	}
+	return min(b, p.RetryBackoffMax)
 }
 
 // DefaultParams matches the paper's Figure 4 profile on 2.2 GHz cores.
@@ -387,22 +397,11 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 	if p.Rails.Enabled && !p.recoveryEnabled() {
 		return nil, fmt.Errorf("rftp: Rails requires AckTimeout > 0 (the ACK tracker makes migration exactly-once)")
 	}
-	if p.Hedge.Enabled {
-		if !p.Rails.Enabled {
-			return nil, fmt.Errorf("rftp: Hedge requires Rails.Enabled (hedged windows need alternate rails)")
-		}
-		p.Hedge = p.Hedge.withDefaults()
+	if p.Hedge.Enabled && !p.Rails.Enabled {
+		return nil, fmt.Errorf("rftp: Hedge requires Rails.Enabled (hedged windows need alternate rails)")
 	}
 	if p.recoveryEnabled() {
-		if p.RetryBackoff <= 0 {
-			p.RetryBackoff = 100 * sim.Millisecond
-		}
-		if p.RetryBackoffMax <= 0 {
-			p.RetryBackoffMax = 5 * sim.Second
-		}
-		if p.MaxStreamRetries <= 0 {
-			p.MaxStreamRetries = 16
-		}
+		p = p.withRetryDefaults()
 		if p.RDMA.ReadPenalty < 1 {
 			p.RDMA = rdma.DefaultParams()
 		}
@@ -418,7 +417,7 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 	if p.Hedge.Enabled {
 		t.winQ = make([]*metrics.WindowedQuantile, len(links))
 		for i := range links {
-			t.winQ[i] = metrics.NewWindowedQuantile(p.Hedge.Window)
+			t.winQ[i] = metrics.NewWindowedQuantile(hedgeWindow)
 		}
 	}
 
@@ -1061,13 +1060,7 @@ func (t *Transfer) scheduleRecovery(s *stream) {
 		t.fail(t.eng.Now())
 		return
 	}
-	backoff := t.P.RetryBackoff
-	for i := 0; i < s.retries && backoff < t.P.RetryBackoffMax; i++ {
-		backoff *= 2
-	}
-	if backoff > t.P.RetryBackoffMax {
-		backoff = t.P.RetryBackoffMax
-	}
+	backoff := t.P.backoff(s.retries)
 	s.retries++
 	s.pending = t.eng.Schedule(backoff, func() {
 		s.pending = nil

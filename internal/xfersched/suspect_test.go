@@ -26,9 +26,7 @@ func suspectTransfer(t *testing.T) *rftp.Transfer {
 		Enabled:        true,
 		ProbeEvery:     20 * sim.Millisecond,
 		ProbeTimeout:   5 * sim.Millisecond,
-		ProbeBytes:     64,
 		FailbackProbes: 2,
-		MissedProbes:   2,
 		Gray:           railmgr.DefaultGrayPolicy(),
 	}
 	cfg := rftp.Config{Streams: 6, BlockSize: 128 * units.KB, CreditsPerStream: 2}
