@@ -208,13 +208,18 @@ func RunClusterPoint(spec ClusterRunSpec) ClusterRunResult {
 	}
 }
 
+// s5Trace1000 pins the trace digest of the 1000-host S5 point (seed 1337,
+// 100,214 events), so a drift at full scale fails S5 itself, not only a
+// replay of the drifted run.
+const s5Trace1000 = "bfe2ef33b11cd01d37824ab70879e12d379b10ba5241fffa800d73f2b80ca26c"
+
 // ClusterScale is S5: the cluster-scale scenario harness. It sweeps host
 // count at fixed per-host load (10 tenants, 20 jobs per host), so aggregate
 // goodput must grow with the cluster, then sweeps shard count at 300 hosts
 // to show scheduler decision latency staying bounded as the control plane
 // scales out. The 1000-host point runs twice and its traces must be
-// bit-identical — the d7024e-style ≥1000-node emulation bar with
-// deterministic replay.
+// bit-identical and equal to the pinned digest — the d7024e-style
+// ≥1000-node emulation bar with deterministic replay.
 func ClusterScale() Result {
 	const seed = 1337
 	scaleTable := metrics.Table{
@@ -238,10 +243,13 @@ func ClusterScale() Result {
 		rep := res.Report
 		if hosts == 1000 {
 			// Replay contract at full scale: a second run of the same seed
-			// must hash to the same trace.
+			// must hash to the same trace, and that trace to the pinned one.
 			again := RunClusterPoint(spec)
 			if again.TraceSHA != res.TraceSHA {
 				panic("S5: 1000-host replay diverged between two runs of one seed")
+			}
+			if res.TraceSHA != s5Trace1000 {
+				panic(fmt.Sprintf("S5: 1000-host trace %s, want pinned %s", res.TraceSHA, s5Trace1000))
 			}
 			sha1000 = res.TraceSHA
 		}

@@ -40,6 +40,53 @@ func BenchmarkSolve64Flows(b *testing.B) {
 	}
 }
 
+// benchDemandCapped builds one component shaped like a fill of the S5
+// cluster workload: 50 flows with finite, mostly distinct demand caps over
+// 472 resources, of which only the 12 shared NICs are tight: each NIC's
+// capacity equals the demand its flows offer, so every flow stops at its
+// own cap as its NIC fills up. Each flow also crosses two of 10 trunks,
+// which glue the component, and 9 private resources registered far apart,
+// as a cluster registers each host's resources together; trunks and
+// private resources carry far less than their capacity.
+func benchDemandCapped() (*Network, *component) {
+	n := NewNetwork()
+	trunks := make([]*Resource, 10)
+	for i := range trunks {
+		trunks[i] = n.AddResource("trunk", 1e13)
+	}
+	nics := make([]*Resource, 12)
+	for i := range nics {
+		nics[i] = n.AddResource("nic", 0)
+	}
+	private := make([]*Resource, 9*50)
+	for i := range private {
+		private[i] = n.AddResource("private", 1e12)
+	}
+	for i := 0; i < 50; i++ {
+		d := 1e9 * (1 + float64(i%25)*0.04)
+		f := n.NewFlow("f", d)
+		f.Use(trunks[i%10], 1).Use(trunks[(i+1)%10], 1).Use(nics[i%12], 1)
+		nics[i%12].Capacity += d
+		for j := 0; j < 9; j++ {
+			f.Use(private[j*50+i], 0.5+float64(j)*0.25)
+		}
+	}
+	n.Solve()
+	return n, n.comps[0]
+}
+
+// BenchmarkFillDemandCapped measures one progressive fill of a component
+// where almost every flow stops at its own demand cap and only a few
+// resources are tight.
+func BenchmarkFillDemandCapped(b *testing.B) {
+	n, c := benchDemandCapped()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.fill(c.flows, c.res)
+	}
+}
+
 // benchChurnSim builds a Sim carrying nFlows concurrent open-ended
 // transfers across a 64-resource mesh, the topology shape of the flow-class
 // churn gate (TestClassChurnTenfold).

@@ -592,11 +592,87 @@ func directFill(n *Network, fidx, ridx []int, rates []float64) {
 	}
 }
 
+// boundaryDeltas are relative offsets of a resource's offered demand from
+// its capacity, straddling fill's tight/slack threshold.
+var boundaryDeltas = []float64{-1e-6, -1e-9, -1e-10, -1e-12, 0, 1e-12, 1e-9}
+
+// boundaryLevels are base demand levels: below 1, where the fill's
+// tolerances are absolute, around 1, and above 1e9.
+var boundaryLevels = []float64{1e-7, 3e-4, 0.25, 1, 7, 1e6, 2e9, 3e11}
+
+// newBoundaryTwin builds a twin whose capacities sit at fill's tight/slack
+// boundary. Demand levels repeat a few base levels, often nudged within the
+// fill's tolerance eps×max(1, level); some flows are classes of several
+// members and some are unbounded. Once the paths are built, every resource
+// gets capacity = offered demand × (1 − δ) for a boundary δ, or several
+// times its offered demand, which makes it slack.
+func newBoundaryTwin(s source) *twin {
+	tw := &twin{inc: NewNetwork(), ref: NewNetwork()}
+	nr := 4 + s.intn(40)
+	for i := 0; i < nr; i++ {
+		tw.addResource(s)
+	}
+	nf := 2 + s.intn(30)
+	for i := 0; i < nf; i++ {
+		w := 0.5 + 2*s.unit()
+		level := boundaryLevels[s.intn(len(boundaryLevels))]
+		switch s.intn(3) {
+		case 0: // tied with the base level within eps
+			level += eps * max(1, level) * s.unit()
+		case 1:
+			level *= 1 + s.unit()
+		}
+		d := level * w
+		if s.intn(8) == 0 {
+			d = math.Inf(1)
+		}
+		m := 1 + s.intn(4)
+		a, b := tw.inc.NewFlowClass("f", d, m), tw.ref.NewFlowClass("f", d, m)
+		a.Weight, b.Weight = w, w
+		for j := 1 + s.intn(5); j > 0; j-- {
+			tw.use(s, a, b)
+		}
+		tw.incF, tw.refF = append(tw.incF, a), append(tw.refF, b)
+	}
+	offered := make([]float64, nr)
+	for _, f := range tw.incF {
+		for _, u := range f.Uses {
+			offered[u.Resource.index] += u.Coeff * float64(f.members) * f.Demand
+		}
+	}
+	for i, o := range offered {
+		if o == 0 || math.IsInf(o, 1) {
+			continue // unused, or loaded by an unbounded flow: always tight
+		}
+		c := o * (2 + 8*s.unit())
+		if s.intn(2) == 0 {
+			c = o * (1 - boundaryDeltas[s.intn(len(boundaryDeltas))])
+		}
+		tw.incR[i].Capacity, tw.refR[i].Capacity = c, c
+	}
+	return tw
+}
+
+// checkDirect requires n's solved rates to equal directRates bit for bit.
+func checkDirect(t *testing.T, n *Network, seed, op int) {
+	t.Helper()
+	want := directRates(n)
+	for i, f := range n.flows {
+		if f.rate != want[i] {
+			t.Fatalf("seed %d op %d: flow %d rate %g, direct division gives %g",
+				seed, op, i, f.rate, want[i])
+		}
+	}
+}
+
 // TestFillMatchesDirectDivision: reading residual/sumW from the ratio
 // array, refreshed when read after a freeze, and skipping blocks by their
 // minimum, is the same quotient read in the same order as dividing at
-// every read, so rates agree bit for bit. Half the seeds grow the network
-// to span many ratio blocks.
+// every read; filling over the tight resources only, with the demand
+// levels sorted once, takes the same branches as filling over all of them.
+// So rates agree bit for bit. Half the random seeds grow the network to
+// span many ratio blocks; the boundary seeds put capacities at the
+// tight/slack threshold.
 func TestFillMatchesDirectDivision(t *testing.T) {
 	for seed := 0; seed < 40; seed++ {
 		s := rngSource{rand.New(rand.NewSource(int64(seed)))}
@@ -611,14 +687,37 @@ func TestFillMatchesDirectDivision(t *testing.T) {
 		}
 		for op := 0; op < 60; op++ {
 			tw.inc.Resolve()
-			want := directRates(tw.inc)
-			for i, f := range tw.inc.flows {
-				if f.rate != want[i] {
-					t.Fatalf("seed %d op %d: flow %d rate %g, direct division gives %g",
-						seed, op, i, f.rate, want[i])
-				}
-			}
+			checkDirect(t, tw.inc, seed, op)
 			tw.mutate(s)
 		}
 	}
+	for seed := 0; seed < 400; seed++ {
+		s := rngSource{rand.New(rand.NewSource(int64(seed)))}
+		tw := newBoundaryTwin(s)
+		for op := 0; op < 5; op++ {
+			tw.inc.Resolve()
+			checkDirect(t, tw.inc, 1000+seed, op)
+			tw.mutate(s)
+		}
+	}
+}
+
+// FuzzFillMatchesDirect decodes fuzz input into a boundary twin and a few
+// mutations, and checks the fill against direct division over every
+// resource bit for bit after each.
+func FuzzFillMatchesDirect(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		b := make([]byte, 256)
+		rand.New(rand.NewSource(seed)).Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := &byteSource{b: data}
+		tw := newBoundaryTwin(s)
+		for op := 0; op < 5; op++ {
+			tw.inc.Resolve()
+			checkDirect(t, tw.inc, 0, op)
+			tw.mutate(s)
+		}
+	})
 }

@@ -43,6 +43,7 @@ package fluid
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Resource is a capacity-constrained component: a link, a memory controller,
@@ -59,8 +60,9 @@ type Resource struct {
 	index int
 
 	// users counts the Usages of registered flows that reference the
-	// resource; comp is its component (nil while users is 0). pos is fill
-	// and split scratch: the resource's position in comp.res.
+	// resource; comp is its component (nil while users is 0). pos is
+	// scratch: split's position in comp.res, fill's position among the
+	// component's tight resources (−1 for a slack one).
 	users int32
 	pos   int32
 	comp  *component
@@ -200,13 +202,14 @@ type Network struct {
 	group []*component // split scratch: component per union-find root
 
 	// Fill scratch, reused across fills so the hot path does not allocate.
-	// residual, sumW, ratio and stale are indexed by position in the
-	// component being filled: ratio holds residual/sumW, or +Inf where
-	// sumW ≤ eps, and stale marks the ratios a freeze has invalidated.
-	// The positions fall into blocks of blockSize: bmin holds each block's
-	// minimum ratio, bstale marks the blocks holding a stale ratio, and
-	// btouched lists them. open lists the unfrozen flows in order, openDL
-	// their demand levels Demand/Weight.
+	// residual, sumW, ratio and stale are indexed by position among the
+	// tight resources of the component being filled, listed in tight:
+	// ratio holds residual/sumW, or +Inf where sumW ≤ eps, and stale marks
+	// the ratios a freeze has invalidated. The positions fall into blocks
+	// of blockSize: bmin holds each block's minimum ratio, bstale marks the
+	// blocks holding a stale ratio, and btouched lists them. open lists the
+	// unfrozen flows in order, byDL those with a finite demand level in
+	// level order.
 	residual []float64
 	sumW     []float64
 	ratio    []float64
@@ -214,8 +217,9 @@ type Network struct {
 	bmin     []float64
 	bstale   []bool
 	btouched []int32
+	tight    []*Resource
 	open     []*Flow
-	openDL   []float64
+	byDL     []demandEntry
 
 	// Resolve scratch: flows whose parameters changed since their last
 	// fill, and those among them that cross no resource.
@@ -410,6 +414,32 @@ func quotient(residual, sumW float64) float64 {
 // minimum per block and rescans only the blocks a freeze touched.
 const blockSize = 16
 
+// maxFilterUses is the most usages per resource at which a fill sorts out
+// its slack resources.
+const maxFilterUses = 4
+
+// demandEntry is an open flow with a finite demand level dl = Demand/Weight
+// and its position among the fill's open flows.
+type demandEntry struct {
+	dl  float64
+	pos int32
+	f   *Flow
+}
+
+// byLevel orders demand entries by (level, position); byPosition restores
+// position order. Levels are finite, so plain comparisons suffice.
+func byLevel(a, b demandEntry) int {
+	switch {
+	case a.dl < b.dl:
+		return -1
+	case a.dl > b.dl:
+		return 1
+	}
+	return byPosition(a, b)
+}
+
+func byPosition(a, b demandEntry) int { return int(a.pos) - int(b.pos) }
+
 // fill runs progressive filling over one component: its flows and
 // resources, each in ascending index order. Rates outside the component are
 // untouched; the arithmetic depends only on component inputs, which is what
@@ -417,20 +447,38 @@ const blockSize = 16
 // resource are independent of each other and may share one call with a nil
 // resource list.
 //
-// Each round reads every resource's headroom residual/sumW from the ratio
-// array; a freeze marks the ratios it changes stale, and the next read
-// recomputes them from the same residual and sumW a division at that point
-// would see. λ is the minimum of the block minima, and the saturation scan
-// skips a block whose up-to-date minimum exceeds the tolerance: every
-// position in it would fail the test. Only unfrozen flows are scanned, in
-// order; a frozen flow stays frozen, so dropping it changes neither a
-// minimum nor the freeze order.
+// Only tight resources take part in the rounds. The setup pass sums each
+// resource's offered demand Σ coeff×members×Demand next to sumW; a resource
+// whose headroom capacity−offered exceeds 1e-9×max(capacity, sumW) is
+// slack. Every flow freezes at a member rate at most its demand, so a slack
+// resource's residual stays above the demand its unfrozen users still
+// offer by at least that headroom. Its ratio then exceeds their lowest
+// demand level L by at least 1e-9×max(1, L), and L ≥ demandLambda ≥ level,
+// which clears both demandLambda+eps and the round's tolerance tol. So a
+// slack resource never sets λ below the lowest demand level, never flips
+// the saturation branch and never saturates: dropping it changes no
+// branch, no freeze and no residual of a tight resource. Slack resources
+// get pos −1 and freeze skips them; loads are still summed from the final
+// rates over every usage. Where slack is unlikely (see filter below) the
+// fill skips the offered sums and runs over every resource.
+//
+// Each round reads every tight resource's headroom residual/sumW from the
+// ratio array; a freeze marks the ratios it changes stale, and the next
+// read recomputes them from the same residual and sumW a division at that
+// point would see. λ is the minimum of the block minima, and the saturation
+// scan skips a block whose up-to-date minimum exceeds the tolerance: every
+// position in it would fail the test.
+//
+// The open flows with a finite demand level are sorted once by (level,
+// position). A round reads demandLambda at the first unfrozen entry and
+// freezes the prefix at or below tol, re-sorted into position order, so
+// flows freeze in the same order as a scan of every open flow would take.
+// A frozen flow stays frozen, so a round that scans for saturated resources
+// first drops the frozen flows from the open list.
 func (n *Network) fill(flows []*Flow, res []*Resource) {
 	n.stats.ComponentSolves++
-	k := len(res)
-	nb := (k + blockSize - 1) / blockSize
-	if cap(n.residual) < k {
-		c := max(k, 2*cap(n.residual)) // components grow a few resources at a time
+	if cap(n.residual) < len(res) {
+		c := max(len(res), 2*cap(n.residual)) // components grow a few resources at a time
 		n.residual = make([]float64, c)
 		n.sumW = make([]float64, c)
 		n.ratio = make([]float64, c)
@@ -438,17 +486,32 @@ func (n *Network) fill(flows []*Flow, res []*Resource) {
 		n.bmin = make([]float64, c/blockSize+1)
 		n.bstale = make([]bool, c/blockSize+1)
 	}
-	residual, sumW, ratio, stale := n.residual[:k], n.sumW[:k], n.ratio[:k], n.stale[:k]
-	bmin, bstale := n.bmin[:nb], n.bstale[:nb]
+	// Sorting out the slack resources costs a multiply-subtract per usage
+	// and saves work per round on each slack resource. It pays in a
+	// component of finite-demand flows with few usages per resource, as in
+	// a cluster. An unbounded flow makes every resource it crosses tight,
+	// and flows that repeat a few resources in long tagged usage lists
+	// leave little slack; there every resource counts as tight, which is
+	// always exact.
+	uses, filter := 0, true
+	for _, f := range flows {
+		uses += len(f.Uses)
+		if math.IsInf(f.Demand, 1) {
+			filter = false
+		}
+	}
+	filter = filter && uses <= maxFilterUses*len(res)
+	// Until the compaction below, headroom holds each resource's capacity
+	// minus its offered demand, and weight its sumW.
+	headroom, weight := n.residual[:len(res)], n.sumW[:len(res)]
 	for i, r := range res {
 		r.pos = int32(i)
 		r.load = 0
 		r.solvedCap = r.Capacity
-		residual[i] = r.Capacity
-		sumW[i] = 0
-		stale[i] = false
+		headroom[i] = r.Capacity
+		weight[i] = 0
 	}
-	open, openDL := n.open[:0], n.openDL[:0]
+	open, byDL := n.open[:0], n.byDL[:0]
 	for _, f := range flows {
 		f.rate = 0
 		f.memberRate = 0
@@ -461,16 +524,60 @@ func (n *Network) fill(flows []*Flow, res []*Resource) {
 			f.frozen = true
 			continue
 		}
+		if dl := f.Demand / f.Weight; dl < math.Inf(1) {
+			byDL = append(byDL, demandEntry{dl, int32(len(open)), f})
+		}
 		open = append(open, f)
-		openDL = append(openDL, f.Demand/f.Weight)
-		ew := f.Weight * float64(f.members)
+		m := float64(f.members)
+		ew := f.Weight * m
+		if !filter {
+			for _, u := range f.Uses {
+				weight[u.Resource.pos] += u.Coeff * ew
+			}
+			continue
+		}
+		ed := f.Demand * m
 		for _, u := range f.Uses {
-			sumW[u.Resource.pos] += u.Coeff * ew
+			i := u.Resource.pos
+			weight[i] += u.Coeff * ew
+			headroom[i] -= u.Coeff * ed
 		}
 	}
 	unfrozen := len(open)
+
+	// Compact the tight resources to the front with their residual and
+	// sumW; k counts them. tight lists them, and is res itself while none
+	// is slack.
+	tight, k := res, len(res)
+	if filter {
+		k = 0
+		for i, r := range res {
+			w := weight[i]
+			if w <= eps || headroom[i] > 1e-9*max(r.Capacity, w) {
+				if k == i { // the first slack resource
+					tight = append(n.tight[:0], res[:i]...)
+				}
+				r.pos = -1
+				continue
+			}
+			if k < i {
+				r.pos = int32(k)
+				weight[k] = w
+				tight = append(tight, r)
+			}
+			headroom[k] = r.Capacity
+			k++
+		}
+		if k < len(res) {
+			n.tight = tight[:0]
+		}
+	}
+	nb := (k + blockSize - 1) / blockSize
+	residual, sumW, ratio, stale := headroom[:k], weight[:k], n.ratio[:k], n.stale[:k]
+	bmin, bstale := n.bmin[:nb], n.bstale[:nb]
 	for i := range ratio {
 		ratio[i] = quotient(residual[i], sumW[i])
+		stale[i] = false
 	}
 
 	// refresh recomputes block b's stale ratios and its minimum.
@@ -491,19 +598,24 @@ func (n *Network) fill(flows []*Flow, res []*Resource) {
 	for b := range bmin {
 		refresh(b)
 	}
+	slices.SortFunc(byDL, byLevel)
 
-	// freeze fixes a flow's per-member rate and retires its contributions.
+	// freeze fixes a flow's per-member rate and retires its contributions
+	// from the tight resources.
 	btouched := n.btouched[:0]
 	freeze := func(f *Flow, memberRate float64) {
-		f.memberRate = memberRate
-		f.rate = memberRate * float64(f.members)
+		rate := memberRate * float64(f.members)
+		f.memberRate, f.rate = memberRate, rate
 		f.frozen = true
 		unfrozen--
 		ew := f.Weight * float64(f.members)
 		for _, u := range f.Uses {
 			i := u.Resource.pos
+			if i < 0 {
+				continue // slack
+			}
 			sumW[i] -= u.Coeff * ew
-			residual[i] -= u.Coeff * f.rate
+			residual[i] -= u.Coeff * rate
 			if residual[i] < 0 {
 				residual[i] = 0
 			}
@@ -520,6 +632,7 @@ func (n *Network) fill(flows []*Flow, res []*Resource) {
 
 	// level is the water level λ: every unfrozen member runs at Weight×λ.
 	level := 0.0
+	head := 0 // byDL[:head] is frozen
 	for unfrozen > 0 {
 		for _, b := range btouched {
 			if bstale[b] {
@@ -533,30 +646,25 @@ func (n *Network) fill(flows []*Flow, res []*Resource) {
 				lambda = q
 			}
 		}
-		demandLambda := math.Inf(1)
-		w := 0
-		for j, f := range open {
-			if f.frozen {
-				continue
-			}
-			dl := openDL[j]
-			if dl < demandLambda {
-				demandLambda = dl
-			}
-			open[w], openDL[w] = f, dl
-			w++
+		for head < len(byDL) && byDL[head].f.frozen {
+			head++
 		}
-		open, openDL = open[:w], openDL[:w]
+		demandLambda := math.Inf(1)
+		if head < len(byDL) {
+			demandLambda = byDL[head].dl
+		}
 
-		target := math.Min(lambda, demandLambda)
+		target := min(lambda, demandLambda)
 		if math.IsInf(target, 1) {
 			// Unbounded flows with no constraining resource: deliberate
 			// infinite rate.
 			for _, f := range open {
-				f.memberRate = f.Demand
-				f.rate = f.Demand * float64(f.members)
-				f.frozen = true
-				unfrozen--
+				if !f.frozen {
+					f.memberRate = f.Demand
+					f.rate = f.Demand * float64(f.members)
+					f.frozen = true
+					unfrozen--
+				}
 			}
 			break
 		}
@@ -564,17 +672,34 @@ func (n *Network) fill(flows []*Flow, res []*Resource) {
 			target = level // numerical guard; filling never lowers λ
 		}
 		level = target
-		tol := level + eps*math.Max(1, level)
+		tol := level + eps*max(1, level)
 
 		frozeAny := false
 		// Demand-capped flows freeze at their per-member demand.
-		for j, f := range open {
-			if !f.frozen && openDL[j] <= tol {
-				freeze(f, f.Demand)
+		end := head
+		for end < len(byDL) && byDL[end].dl <= tol {
+			end++
+		}
+		capped := byDL[head:end]
+		if len(capped) > 1 {
+			slices.SortFunc(capped, byPosition)
+		}
+		for _, e := range capped {
+			if !e.f.frozen {
+				freeze(e.f, e.f.Demand)
 				frozeAny = true
 			}
 		}
+		head = end
 		if lambda <= demandLambda+eps {
+			w := 0
+			for _, f := range open {
+				if !f.frozen {
+					open[w] = f
+					w++
+				}
+			}
+			open = open[:w]
 			// Saturated resources freeze every unfrozen flow crossing
 			// them at Weight×λ per member.
 			for b := range bmin {
@@ -592,7 +717,7 @@ func (n *Network) fill(flows []*Flow, res []*Resource) {
 					if ratio[i] > tol {
 						continue
 					}
-					r := res[i]
+					r := tight[i]
 					for _, f := range open {
 						if f.frozen {
 							continue
@@ -621,12 +746,13 @@ func (n *Network) fill(flows []*Flow, res []*Resource) {
 			}
 		}
 	}
-	n.btouched, n.open, n.openDL = btouched[:0], open[:0], openDL[:0]
+	n.btouched, n.open, n.byDL = btouched[:0], open[:0], byDL[:0]
 
 	// Compute resource loads from final rates.
 	for _, f := range flows {
+		rate := f.rate
 		for _, u := range f.Uses {
-			u.Resource.load += u.Coeff * f.rate
+			u.Resource.load += u.Coeff * rate
 		}
 	}
 }
